@@ -276,14 +276,18 @@ def backward(tape: Tape, out: Var, seed=None) -> dict[str, np.ndarray]:
         rule = _RULES.get(node.op)
         if rule is None:
             raise ValueError(f"no backward rule registered for op '{node.op}'")
+        # Contributions may be read-only broadcast views, or the very object
+        # held in another slot (add/sub pass `g` through), so later ones are
+        # summed into a new array, never added in place.
         for inp, contrib in zip(node.inputs, rule(node, g, nodes)):
-            if grads[inp] is None:
-                grads[inp] = np.zeros_like(nodes[inp].value)
-            grads[inp] = grads[inp] + contrib
+            prev = grads[inp]
+            grads[inp] = contrib if prev is None else prev + contrib
     result = {}
     for name, nid in tape._params.items():
         if nid <= out.nid and grads[nid] is not None:
-            result[name] = grads[nid]
+            # a copy, so each gradient is writable and shares no memory with
+            # the seed, a node value or another gradient
+            result[name] = np.array(grads[nid])
         else:
             result[name] = np.zeros_like(nodes[nid].value)
     return result

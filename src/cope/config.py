@@ -9,6 +9,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .oracle import MAX_DIM, MAX_ORDER
+
 
 class ConfigError(ValueError):
     pass
@@ -135,10 +137,28 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(
             f"field 'block_orders' must be positive integers, got {cfg.block_orders!r}"
         )
-    if not isinstance(cfg.beta1, float) or not 0.0 <= cfg.beta1 < 1.0:
-        raise ConfigError(f"field 'beta1' must be in [0, 1), got {cfg.beta1!r}")
-    if not isinstance(cfg.beta2, float) or not 0.0 <= cfg.beta2 < 1.0:
-        raise ConfigError(f"field 'beta2' must be in [0, 1), got {cfg.beta2!r}")
+    for name in ("beta1", "beta2"):
+        v = getattr(cfg, name)
+        if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 <= v < 1:
+            raise ConfigError(f"field '{name}' must be in [0, 1), got {v!r}")
+    if cfg.task == "poly-regression":
+        # the target is materialized by the brute-force oracle
+        if cfg.target_degree > MAX_ORDER:
+            raise ConfigError(
+                f"field 'target_degree' must be at most {MAX_ORDER} for task "
+                f"'poly-regression', got {cfg.target_degree!r}"
+            )
+        for name in ("input_dim", "output_dim"):
+            if getattr(cfg, name) > MAX_DIM:
+                raise ConfigError(
+                    f"field '{name}' must be at most {MAX_DIM} for task "
+                    f"'poly-regression', got {getattr(cfg, name)!r}"
+                )
+    if cfg.task == "downsample-1d" and cfg.signal_length % cfg.downsample_factor:
+        raise ConfigError(
+            f"field 'signal_length' ({cfg.signal_length}) must be divisible by "
+            f"'downsample_factor' ({cfg.downsample_factor})"
+        )
     if cfg.stop_mse is not None and (
         not isinstance(cfg.stop_mse, (int, float)) or cfg.stop_mse <= 0
     ):

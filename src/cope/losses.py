@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .autodiff import Var, exp, softplus
@@ -27,6 +29,14 @@ def pairwise_sq_dists(x, y):
     return xx.T + yy - 2.0 * (x.T @ y)
 
 
+@lru_cache(maxsize=16)
+def _upper_triangle(n: int):
+    """Read-only row and column indices above the diagonal of an n x n matrix."""
+    rows, cols = np.triu_indices(n, k=1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def median_pairwise_distance(x) -> float:
     """Median off-diagonal distance of a column batch; 1.0 as a degenerate
     fallback (single sample or all samples identical)."""
@@ -35,7 +45,7 @@ def median_pairwise_distance(x) -> float:
     if n < 2:
         return 1.0
     d2 = pairwise_sq_dists(x, x)
-    upper = d2[np.triu_indices(n, k=1)]
+    upper = d2[_upper_triangle(n)]
     med = float(np.sqrt(np.maximum(np.median(upper), 0.0)))
     return med if med > 0.0 else 1.0
 
@@ -44,6 +54,11 @@ def rbf_bandwidths(real, factors=DEFAULT_BANDWIDTH_FACTORS) -> tuple[float, ...]
     """Bandwidth ladder scaled by the real batch's median pairwise distance."""
     med = median_pairwise_distance(real)
     return tuple(float(f) * med for f in factors)
+
+
+def _kernel_sum(d2, coefs):
+    """Sum of exp(c * d2) over every entry and every coefficient c."""
+    return exp(d2.reshape((1,) + d2.shape) * coefs).sum()
 
 
 def mmd_loss(x, y, bandwidths):
@@ -61,16 +76,15 @@ def mmd_loss(x, y, bandwidths):
     bandwidths = tuple(float(s) for s in bandwidths)
     if not bandwidths or any(s <= 0.0 for s in bandwidths):
         raise ValueError(f"bandwidths must be positive, got {bandwidths}")
-    dxx = pairwise_sq_dists(x, x)
-    dyy = pairwise_sq_dists(y, y)
-    dxy = pairwise_sq_dists(x, y)
-    total = 0.0
-    for sigma in bandwidths:
-        c = -0.5 / (sigma * sigma)
-        total = total + (
-            exp(dxx * c).mean() + exp(dyy * c).mean() - 2.0 * exp(dxy * c).mean()
-        )
-    return total
+    # one leading axis of kernel coefficients -0.5 / sigma^2 evaluates every
+    # bandwidth in one exp, so a distance matrix costs one kernel node
+    coefs = np.array([-0.5 / (s * s) for s in bandwidths]).reshape(-1, 1, 1)
+    n, m = x.shape[1], y.shape[1]
+    return (
+        _kernel_sum(pairwise_sq_dists(x, x), coefs) * (1.0 / (n * n))
+        + _kernel_sum(pairwise_sq_dists(y, y), coefs) * (1.0 / (m * m))
+        - _kernel_sum(pairwise_sq_dists(x, y), coefs) * (2.0 / (n * m))
+    )
 
 
 def nonsat_gan_losses(real_logits, fake_logits):

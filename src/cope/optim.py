@@ -50,15 +50,3 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> None:
         m_hat = m / (1.0 - state.beta1**t)
         v_hat = v / (1.0 - state.beta2**t)
         p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-
-
-def sgd_step(params: dict, grads: dict, lr: float) -> None:
-    for name, p in params.items():
-        if name not in grads:
-            raise KeyError(f"no gradient supplied for parameter '{name}'")
-        if grads[name].shape != p.shape:
-            raise ValueError(
-                f"gradient for '{name}' has shape {grads[name].shape}, "
-                f"expected {p.shape}"
-            )
-        p -= lr * grads[name]

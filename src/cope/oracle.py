@@ -15,8 +15,8 @@ import numpy as np
 from .models import CcpParams
 from .tensors import khatri_rao, mode_m_fold, mode_m_vec_product
 
-_MAX_DIM = 8
-_MAX_ORDER = 4
+MAX_DIM = 8
+MAX_ORDER = 4
 
 
 def expansion_term_keys(order: int, n_variables: int):
@@ -76,14 +76,14 @@ class OracleParams:
             raise ValueError(
                 f"expected 2 or 3 input variables, got {len(self.input_dims)}"
             )
-        if not 1 <= self.order <= _MAX_ORDER:
+        if not 1 <= self.order <= MAX_ORDER:
             raise ValueError(
-                f"order {self.order} outside the supported range [1, {_MAX_ORDER}]"
+                f"order {self.order} outside the supported range [1, {MAX_ORDER}]"
             )
         for d in self.input_dims + (self.output_dim,):
-            if not 1 <= d <= _MAX_DIM:
+            if not 1 <= d <= MAX_DIM:
                 raise ValueError(
-                    f"dimension {d} outside the supported range [1, {_MAX_DIM}]"
+                    f"dimension {d} outside the supported range [1, {MAX_DIM}]"
                 )
         expected = set(expansion_term_keys(self.order, len(self.input_dims)))
         got = set(self.tensors)
@@ -209,8 +209,8 @@ def build_order2_coupled_tensors(p: CcpParams) -> OracleParams:
     """
     if p.order != 2 or p.n_variables != 2:
         raise ValueError("expected a two-variable model of order 2")
-    if p.rank > _MAX_DIM:
-        raise ValueError(f"rank {p.rank} outside the supported range [1, {_MAX_DIM}]")
+    if p.rank > MAX_DIM:
+        raise ValueError(f"rank {p.rank} outside the supported range [1, {MAX_DIM}]")
     (u1_n, u1_c), (u2_n, u2_c) = p.input_maps
     c = p.head
     d_n, d_c = p.input_dims

@@ -90,21 +90,3 @@ def hadamard(a, b) -> np.ndarray:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return a * b
-
-
-def cp_reconstruct(factors) -> np.ndarray:
-    """Dense tensor with CP factors `factors` (one I_m x R matrix per mode)."""
-    factors = [np.asarray(f, dtype=np.float64) for f in factors]
-    if not factors:
-        raise ValueError("cp_reconstruct needs at least one factor matrix")
-    ranks = {f.shape[1] for f in factors if f.ndim == 2}
-    if any(f.ndim != 2 for f in factors) or len(ranks) != 1:
-        raise ValueError(
-            "factors must be matrices sharing one rank; got shapes "
-            + str([f.shape for f in factors])
-        )
-    letters = "abcdefghijklmnop"
-    if len(factors) > len(letters):
-        raise ValueError(f"too many modes: {len(factors)}")
-    subs = ",".join(f"{letters[i]}r" for i in range(len(factors)))
-    return np.einsum(subs + "->" + letters[: len(factors)], *factors)

@@ -135,6 +135,69 @@ class TestBackward:
             tape.param("w", np.ones(1))
 
 
+class TestGradientAccumulation:
+    """Fan-out sums every contribution into a fresh array: the first one
+    may be a read-only broadcast view or an object another slot holds."""
+
+    def test_read_only_broadcast_first_then_second_use(self):
+        rng = np.random.default_rng(56)
+        w = rng.standard_normal((2, 3))
+        tape = Tape()
+        x = tape.param("x", rng.standard_normal((2, 3)))
+        # x.sum() comes last, so its broadcast view reaches x first
+        out = (x * w).sum() + x.sum()
+        np.testing.assert_array_equal(backward(tape, out)["x"], w + 1.0)
+
+    def test_keepdims_sum_view_then_second_use(self):
+        tape = Tape()
+        x = tape.param("x", np.arange(6.0).reshape(2, 3))
+        out = (x * 3.0 + x.sum(axis=1, keepdims=True)).sum()
+        np.testing.assert_array_equal(backward(tape, out)["x"], np.full((2, 3), 6.0))
+
+    def test_x_plus_x(self):
+        tape = Tape()
+        x = tape.param("x", np.ones((2, 2)))
+        seed = np.array([[1.0, -2.0], [0.5, 3.0]])
+        np.testing.assert_array_equal(backward(tape, x + x, seed)["x"], 2.0 * seed)
+
+    def test_x_times_x(self):
+        rng = np.random.default_rng(57)
+        x0 = rng.standard_normal((3, 2))
+        seed = rng.standard_normal((3, 2))
+        tape = Tape()
+        x = tape.param("x", x0)
+        np.testing.assert_allclose(
+            backward(tape, x * x, seed)["x"], 2.0 * x0 * seed, rtol=1e-15
+        )
+
+    def test_backward_mutates_no_node_value_nor_seed(self):
+        rng = np.random.default_rng(58)
+        tape = Tape()
+        x = tape.param("x", rng.standard_normal((2, 3)))
+        b = tape.param("b", rng.standard_normal((2, 1)))
+        y = x + b
+        # the last add hands the seed itself to x, which fans out further
+        out = (y + y) * x + x.sum(axis=0, keepdims=True) - tanh(x).T.T + x
+        seed = rng.standard_normal(out.shape)
+        seed_before = seed.copy()
+        values_before = [n.value.copy() for n in tape.nodes]
+        backward(tape, out, seed)
+        np.testing.assert_array_equal(seed, seed_before)
+        for node, before in zip(tape.nodes, values_before):
+            np.testing.assert_array_equal(node.value, before)
+
+    def test_returned_gradients_are_writable_and_unshared(self):
+        tape = Tape()
+        x = tape.param("x", np.ones((2, 2)))
+        b = tape.param("b", np.ones((2, 2)))
+        seed = np.ones((2, 2))
+        grads = backward(tape, x + b, seed)
+        for g in grads.values():
+            assert g.flags.writeable
+            assert not np.shares_memory(g, seed)
+        assert not np.shares_memory(grads["x"], grads["b"])
+
+
 class TestFiniteDiffCheck:
     def test_linear_function_is_exact(self):
         rng = np.random.default_rng(54)

@@ -43,6 +43,25 @@ def test_invalid_field_exits_2(tmp_path, capsys):
     assert "rank" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "values, field",
+    [
+        ({"target_degree": 5}, "target_degree"),
+        ({"input_dim": 9}, "input_dim"),
+        ({"task": "downsample-1d", "signal_length": 30}, "signal_length"),
+    ],
+)
+def test_out_of_range_config_exits_2_and_writes_nothing(tmp_path, capsys, values, field):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(values))
+    out = tmp_path / "run"
+    out.mkdir()
+    code = main(["train-regression", "--config", str(cfgfile), "--out", str(out)])
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_train_regression_run_and_flags_override_file(tmp_path, capsys):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({

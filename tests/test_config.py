@@ -78,3 +78,34 @@ def test_dump_resolved_round_trips(tmp_path):
     assert set(doc) == {f.name for f in ExperimentConfig.__dataclass_fields__.values()}
     again = resolve(doc, {})
     assert again == cfg
+
+
+def test_beta_fields_accept_json_integers():
+    cfg = resolve({"beta1": 0, "beta2": 0}, {})
+    assert (cfg.beta1, cfg.beta2) == (0, 0)
+    for name in ("beta1", "beta2"):
+        with pytest.raises(ConfigError, match=f"'{name}'"):
+            resolve({name: 1}, {})
+        with pytest.raises(ConfigError, match=f"'{name}'"):
+            resolve({name: True}, {})
+
+
+@pytest.mark.parametrize(
+    "values, field",
+    [
+        ({"target_degree": 5}, "target_degree"),
+        ({"input_dim": 9}, "input_dim"),
+        ({"output_dim": 9}, "output_dim"),
+    ],
+)
+def test_oracle_limits_checked_for_poly_regression(values, field):
+    with pytest.raises(ConfigError, match=f"'{field}' must be at most"):
+        resolve({"task": "poly-regression", **values}, {})
+    # the fields mean nothing to the other tasks
+    resolve({"task": "cond-point-cloud", **values}, {})
+
+
+def test_signal_length_must_divide_by_factor():
+    with pytest.raises(ConfigError, match="'signal_length'.*'downsample_factor'"):
+        resolve({"task": "downsample-1d", "signal_length": 30}, {})
+    resolve({"task": "downsample-1d", "signal_length": 32, "downsample_factor": 8}, {})

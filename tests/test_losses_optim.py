@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cope.autodiff import Tape, backward
+from cope.autodiff import Tape, backward, concat_rows, finite_diff_check
 from cope.losses import (
     diversity_regularizer,
     mmd_loss,
@@ -11,7 +11,16 @@ from cope.losses import (
     nonsat_gan_losses,
     rbf_bandwidths,
 )
-from cope.optim import adam_init, adam_step, sgd_step
+from cope.models import (
+    discriminator_forward,
+    init_chain,
+    init_discriminator,
+    model_parameters,
+    product_compose,
+    with_parameters,
+)
+from cope.optim import adam_init, adam_step
+from cope.tasks import one_hot
 
 
 class TestMse:
@@ -73,6 +82,80 @@ class TestMmd:
         far = x + 10.0
         bw = rbf_bandwidths(x)
         assert mmd_loss(x, far, bw) > mmd_loss(x, near, bw)
+
+
+class TestLossGradients:
+    """Tape gradients of the losses training differentiates, against central
+    differences at the 1e-5 tolerance of the `gradients` suite. The seeds
+    are fixed: a coordinate whose gradient is near 1e-6 would show rounding
+    noise, not a wrong rule."""
+
+    def test_mmd_five_bandwidths_unequal_batches(self):
+        rng = np.random.default_rng(71)
+        x = rng.standard_normal((2, 5))
+        y = rng.standard_normal((2, 7))
+        bw = rbf_bandwidths(y)
+        assert len(bw) == 5
+        err = finite_diff_check(lambda p: mmd_loss(p["x"], y, bw), {"x": x})
+        assert err < 1e-5
+
+    def test_mmd_through_centered_tanh_chain(self):
+        rng = np.random.default_rng(71)
+        chain = init_chain(
+            rng, (3, 4), (2, 2), rank=4, hidden_dim=3, out_dim=2,
+            output_activation="tanh", centering="batch_mean",
+        )
+        noise = rng.uniform(-1.0, 1.0, (3, 6))
+        labels = one_hot(4, 1, 6)
+        real = rng.uniform(-0.5, 0.5, (2, 6))
+        bw = rbf_bandwidths(real)
+        params = model_parameters(chain)
+        # centering cancels block 0's head bias: its gradient is exactly
+        # zero, and central differences there measure only rounding noise
+        fixed = {"b0.head_bias": params.pop("b0.head_bias")}
+
+        def f(values):
+            model = with_parameters(chain, {**values, **fixed})
+            return mmd_loss(product_compose(model, [noise, labels]), real, bw)
+
+        assert finite_diff_check(f, params) < 1e-5
+        tape = Tape()
+        loss = f({k: tape.param(k, v) for k, v in {**params, **fixed}.items()})
+        assert np.abs(backward(tape, loss)["b0.head_bias"]).max() < 1e-12
+
+    @staticmethod
+    def _gan_setup():
+        rng = np.random.default_rng(71)
+        labels = np.concatenate([one_hot(3, c, 2) for c in range(3)], axis=1)
+        real = rng.uniform(-0.5, 0.5, (2, 6))
+        noise = rng.uniform(-1.0, 1.0, (3, 6))
+        gen = init_chain(rng, (3, 3), (2,), rank=3, hidden_dim=3, out_dim=2)
+        disc = init_discriminator(rng, 5, 4)
+        return labels, real, noise, gen, disc
+
+    def test_discriminator_loss(self):
+        labels, real, noise, gen, disc = self._gan_setup()
+        real_x = np.concatenate([real, labels])
+        fake_x = np.concatenate([product_compose(gen, [noise, labels]), labels])
+
+        def f(p):
+            loss_d, _ = nonsat_gan_losses(
+                discriminator_forward(p, real_x), discriminator_forward(p, fake_x)
+            )
+            return loss_d
+
+        assert finite_diff_check(f, disc) < 1e-5
+
+    def test_generator_loss_through_discriminator(self):
+        labels, real, noise, gen, disc = self._gan_setup()
+        real_logits = discriminator_forward(disc, np.concatenate([real, labels]))
+
+        def f(values):
+            fake = product_compose(with_parameters(gen, values), [noise, labels])
+            fake_logits = discriminator_forward(disc, concat_rows([fake, labels]))
+            return nonsat_gan_losses(real_logits, fake_logits)[1]
+
+        assert finite_diff_check(f, model_parameters(gen)) < 1e-5
 
 
 class TestGanLosses:
@@ -156,10 +239,3 @@ class TestAdam:
         state = adam_init(params)
         with pytest.raises(ValueError, match="gradient for 'w'"):
             adam_step(state, params, {"w": np.ones(3)})
-
-
-class TestSgd:
-    def test_step(self):
-        params = {"w": np.array([1.0])}
-        sgd_step(params, {"w": np.array([2.0])}, lr=0.25)
-        np.testing.assert_allclose(params["w"], [0.5])

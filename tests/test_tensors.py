@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cope.tensors import (
-    cp_reconstruct,
     hadamard,
     khatri_rao,
     khatri_rao_chain,
@@ -159,23 +158,10 @@ class TestHadamard:
 
 
 class TestCpReconstruct:
-    def test_rank_one_ones(self):
-        f = [np.ones((2, 1))] * 3
-        np.testing.assert_array_equal(cp_reconstruct(f), np.ones((2, 2, 2)))
-
-    def test_two_factors_is_u1_u2t(self):
-        rng = np.random.default_rng(11)
-        u1, u2 = rng.standard_normal((3, 4)), rng.standard_normal((2, 4))
-        np.testing.assert_allclose(cp_reconstruct([u1, u2]), u1 @ u2.T, atol=1e-12)
-
     def test_mode1_unfolding_formula(self):
         # X_(1) = U1 (U_M kr ... kr U2)^T for any order.
         rng = np.random.default_rng(12)
         factors = [rng.standard_normal((d, 3)) for d in (2, 4, 3)]
-        t = cp_reconstruct(factors)
+        t = np.einsum("ar,br,cr->abc", *factors)
         expected = factors[0] @ khatri_rao_chain(factors[:0:-1]).T
         np.testing.assert_allclose(mode_m_unfold(t, 1), expected, atol=1e-12)
-
-    def test_rank_mismatch(self):
-        with pytest.raises(ValueError, match="sharing one rank"):
-            cp_reconstruct([np.zeros((2, 2)), np.zeros((2, 3))])
