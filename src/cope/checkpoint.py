@@ -1,18 +1,42 @@
-"""JSON model checkpoints: block structure plus flat arrays with shape
-headers. Floats are written with Python's shortest round-trip repr (at most
-17 significant digits), so a save/load cycle is bit exact."""
+"""JSON model checkpoints: each block's structure plus its named arrays with
+shape headers. Floats are written with Python's shortest round-trip repr (at
+most 17 significant digits), so a save/load cycle is bit exact. A malformed
+document raises ValueError naming the field."""
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .models import CcpParams, ChainBlock, ModelSpec, NcpParams
+from .models import ChainBlock, ModelSpec
 
 FORMAT_NAME = "cope-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+
+def _field(obj, key, types, where):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected an object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"{where}: missing field '{key}'")
+    value = obj[key]
+    # exact types: JSON true/false must not pass as numbers
+    if type(value) not in types:
+        raise ValueError(
+            f"{where}: field '{key}' is {type(value).__name__}, "
+            f"expected {' or '.join(t.__name__ for t in types)}"
+        )
+    return value
+
+
+def _ints(obj, key, where):
+    values = _field(obj, key, (list,), where)
+    if any(type(v) is not int or v < 0 for v in values):
+        raise ValueError(f"{where}: field '{key}' must list non-negative integers")
+    return values
 
 
 def _encode_array(arr) -> dict:
@@ -21,62 +45,26 @@ def _encode_array(arr) -> dict:
 
 
 def _decode_array(obj, where: str) -> np.ndarray:
-    shape = tuple(int(s) for s in obj["shape"])
-    data = np.asarray(obj["data"], dtype=np.float64)
-    if data.size != int(np.prod(shape)):
-        raise ValueError(
-            f"{where}: {data.size} values do not fill shape {shape}"
-        )
-    return data.reshape(shape)
+    shape = tuple(_ints(obj, "shape", where))
+    data = _field(obj, "data", (list,), where)
+    if any(type(x) not in (int, float) for x in data):
+        raise ValueError(f"{where}: field 'data' must list numbers")
+    if len(data) != math.prod(shape):
+        raise ValueError(f"{where}: {len(data)} values do not fill shape {shape}")
+    return np.asarray(data, dtype=np.float64).reshape(shape)
 
 
-def _encode_block(blk: ChainBlock) -> dict:
-    p = blk.params
-    out = {
-        "kind": blk.kind,
-        "consume_prev": blk.consume_prev,
-        "consume_vars": list(blk.consume_vars),
-        "share_conditional": p.share_conditional,
-        "input_maps": [[_encode_array(m) for m in row] for row in p.input_maps],
-        "head": _encode_array(p.head),
-        "head_bias": _encode_array(p.head_bias),
-    }
-    if isinstance(p, NcpParams):
-        out["state_maps"] = [_encode_array(v) for v in p.state_maps]
-        out["offset_maps"] = [_encode_array(m) for m in p.offset_maps]
-        out["offset_seeds"] = [_encode_array(s) for s in p.offset_seeds]
-    return out
-
-
-def _decode_block(obj: dict, where: str) -> ChainBlock:
-    kind = obj["kind"]
-    share = bool(obj.get("share_conditional", False))
-    input_maps = [
-        [_decode_array(m, where) for m in row] for row in obj["input_maps"]
-    ]
-    if share:
-        for n in range(1, len(input_maps)):
-            input_maps[n][1] = input_maps[0][1]
-    common = {
-        "input_maps": input_maps,
-        "head": _decode_array(obj["head"], where),
-        "head_bias": _decode_array(obj["head_bias"], where),
-        "share_conditional": share,
-    }
-    if kind == "ccp":
-        params = CcpParams(**common)
-    else:
-        params = NcpParams(
-            state_maps=[_decode_array(v, where) for v in obj["state_maps"]],
-            offset_maps=[_decode_array(m, where) for m in obj["offset_maps"]],
-            offset_seeds=[_decode_array(s, where) for s in obj["offset_seeds"]],
-            **common,
-        )
+def _read_block(obj, where: str) -> ChainBlock:
+    params = _field(obj, "params", (dict,), where)
     return ChainBlock(
-        kind=kind,
-        params=params,
-        consume_prev=bool(obj["consume_prev"]),
-        consume_vars=tuple(obj["consume_vars"]),
+        kind=_field(obj, "kind", (str,), where),
+        params={
+            name: _decode_array(arr, f"{where} parameter '{name}'")
+            for name, arr in params.items()
+        },
+        consume_prev=_field(obj, "consume_prev", (bool,), where),
+        consume_vars=tuple(_ints(obj, "consume_vars", where)),
+        share_conditional=_field(obj, "share_conditional", (bool,), where),
     )
 
 
@@ -87,13 +75,24 @@ def save_model(path, spec: ModelSpec) -> None:
         "var_dims": list(spec.var_dims),
         "output_activation": spec.output_activation,
         "centering": spec.centering,
-        "blocks": [_encode_block(b) for b in spec.blocks],
+        "blocks": [
+            {
+                "kind": blk.kind,
+                "consume_prev": blk.consume_prev,
+                "consume_vars": list(blk.consume_vars),
+                "share_conditional": blk.share_conditional,
+                "params": {n: _encode_array(a) for n, a in blk.params.items()},
+            }
+            for blk in spec.blocks
+        ],
     }
     Path(path).write_text(json.dumps(doc, indent=1))
 
 
 def load_model(path) -> ModelSpec:
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected an object, got {type(doc).__name__}")
     if doc.get("format") != FORMAT_NAME:
         raise ValueError(
             f"{path}: format {doc.get('format')!r} is not {FORMAT_NAME!r}"
@@ -102,12 +101,18 @@ def load_model(path) -> ModelSpec:
         raise ValueError(
             f"{path}: version {doc.get('version')!r} is not {FORMAT_VERSION}"
         )
-    return ModelSpec(
-        var_dims=tuple(doc["var_dims"]),
-        blocks=[
-            _decode_block(b, f"{path} block {i}")
-            for i, b in enumerate(doc["blocks"])
-        ],
-        output_activation=doc["output_activation"],
-        centering=doc["centering"],
+    where = str(path)
+    blocks = [
+        _read_block(b, f"{where} block {i}")
+        for i, b in enumerate(_field(doc, "blocks", (list,), where))
+    ]
+    fields = (
+        tuple(_ints(doc, "var_dims", where)),
+        blocks,
+        _field(doc, "output_activation", (str,), where),
+        _field(doc, "centering", (str,), where),
     )
+    try:
+        return ModelSpec(*fields)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None

@@ -2,7 +2,8 @@
 runs verification suites or training, writes artifacts under one directory.
 
 Exit codes: 0 all requested work completed within tolerance, 1 a suite
-failed or training diverged, 2 the configuration was rejected.
+failed, training diverged or the run raised another error, 2 the
+configuration was rejected.
 """
 
 from __future__ import annotations
@@ -281,7 +282,7 @@ def main(argv=None) -> int:
         return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 1
     except TrainingDiverged as e:
         print(f"training diverged: {e}", file=sys.stderr)
         return 1

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .oracle import MAX_DIM, MAX_ORDER
+from .verify import SUITES
 
 
 class ConfigError(ValueError):
@@ -171,6 +172,11 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         )
     if any(not isinstance(s, str) for s in cfg.suites):
         raise ConfigError(f"field 'suites' must be suite names, got {cfg.suites!r}")
+    unknown = [s for s in cfg.suites if s not in SUITES]
+    if unknown:
+        raise ConfigError(
+            f"field 'suites' names unknown suite(s) {unknown}; available: {list(SUITES)}"
+        )
     return cfg
 
 

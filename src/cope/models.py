@@ -1,183 +1,134 @@
 """Coupled low-rank polynomial generators and their ablation baselines.
 
-Every forward runs on column batches (features x batch) and is written
-against the operator set shared by ndarrays and autodiff Vars, so the same
-code is evaluated by the brute-force oracles and differentiated during
-training. Public entry points also accept plain 1-D vectors.
+A block is a `ChainBlock`: its kind, wiring and sharing, plus an ordered
+name -> array dict of its parameters. Every forward runs on column batches
+(features x batch) and is written against the operator set shared by
+ndarrays and autodiff Vars, so the same code is evaluated by the
+brute-force oracles and differentiated during training. `product_compose`
+also accepts plain 1-D vectors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+import operator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .autodiff import Tape, Var, concat_rows, tanh
 
 _BLOCK_KINDS = ("ccp", "ncp", "additive")
+# The gated recursion's Hadamard, or the sum that replaces it in the ablation.
+_COMBINE = {"ncp": operator.mul, "additive": operator.add}
 
 
 def _shape(x):
     return tuple(x.shape)
 
 
-def _check_factor_grid(input_maps, who):
-    if not input_maps or not input_maps[0]:
-        raise ValueError(f"{who} needs at least one order and one variable")
-    n_vars = len(input_maps[0])
-    ranks = set()
-    for n, row in enumerate(input_maps):
-        if len(row) != n_vars:
-            raise ValueError(
-                f"{who} order {n + 1} has {len(row)} factor(s), expected {n_vars}"
-            )
-        for phi, m in enumerate(row):
-            if m.ndim != 2:
-                raise ValueError(f"{who} factor ({n + 1},{phi}) is not a matrix")
-            if m.shape[0] != input_maps[0][phi].shape[0]:
-                raise ValueError(
-                    f"{who} factor ({n + 1},{phi}) has {m.shape[0]} rows, "
-                    f"expected {input_maps[0][phi].shape[0]}"
-                )
-            ranks.add(m.shape[1])
-    if len(ranks) != 1:
-        raise ValueError(f"{who} factors disagree on rank: {sorted(ranks)}")
-    return n_vars, ranks.pop()
-
-
-def _check_head(head, head_bias, rank, who):
-    if head.ndim != 2 or head.shape[1] != rank:
-        raise ValueError(
-            f"{who} head must be (out_dim, {rank}), got {_shape(head)}"
-        )
-    if _shape(head_bias) != (head.shape[0],):
-        raise ValueError(
-            f"{who} head bias shape {_shape(head_bias)} does not match "
-            f"out_dim {head.shape[0]}"
-        )
-
-
 @dataclass
-class CcpParams:
-    """Multiplicative-skip recursion: y_n = y_{n-1} + (sum_phi U_n,phi^T z_phi) * y_{n-1}."""
+class ChainBlock:
+    """One polynomial block of a chain.
 
-    input_maps: list[list]  # [order][variable] -> (d_phi, rank)
-    head: object  # (out_dim, rank)
-    head_bias: object  # (out_dim,)
+    Inputs are the previous block's output (if `consume_prev`) followed by
+    the model variables listed in `consume_vars`. `params` maps the names
+    of `_layout` to arrays: `in{n}.v{phi}` is the order-n factor of input
+    phi, then (ncp and additive only) `state{n}`, `off{n}` and `seed{n}`,
+    then `head` and `head_bias`. A block with `share_conditional` has one
+    conditional factor, `in1.v1`, read by every order.
+    """
+
+    kind: str
+    params: dict
+    consume_prev: bool
+    consume_vars: tuple[int, ...]
     share_conditional: bool = False
 
     def __post_init__(self):
-        n_vars, rank = _check_factor_grid(self.input_maps, "CcpParams")
-        _check_head(self.head, self.head_bias, rank, "CcpParams")
-        if self.share_conditional:
-            if n_vars < 2:
-                raise ValueError("share_conditional needs a second variable")
-            for n in range(1, len(self.input_maps)):
-                if self.input_maps[n][1] is not self.input_maps[0][1]:
-                    raise ValueError(
-                        "share_conditional requires the order-1 conditional "
-                        f"factor to be aliased at order {n + 1}"
-                    )
+        self.consume_vars = tuple(int(j) for j in self.consume_vars)
 
     @property
     def order(self):
-        return len(self.input_maps)
+        return sum(1 for name in self.params if name.endswith(".v0"))
 
     @property
     def n_variables(self):
-        return len(self.input_maps[0])
+        return int(self.consume_prev) + len(self.consume_vars)
 
     @property
     def rank(self):
-        return self.head.shape[1]
+        return self.params["head"].shape[1]
 
     @property
     def out_dim(self):
-        return self.head.shape[0]
+        return self.params["head"].shape[0]
 
     @property
     def input_dims(self):
-        return tuple(m.shape[0] for m in self.input_maps[0])
+        return tuple(
+            self.params[f"in1.v{phi}"].shape[0] for phi in range(self.n_variables)
+        )
+
+    def factor(self, n, phi):
+        """Order-n factor of input phi (both counted as in the names)."""
+        if phi == 1 and self.share_conditional:
+            n = 1
+        return self.params[f"in{n}.v{phi}"]
 
 
-@dataclass
-class NcpParams:
-    """Gated recursion: y_n = (sum_phi A_n,phi^T z_phi) * (V_n^T y_{n-1} + B_n^T b_n)."""
+def _layout(kind, order, input_dims, rank, width, out_dim, share):
+    """Block-local parameter names in canonical order, with their shapes."""
+    shapes = {
+        f"in{n}.v{phi}": (d, rank)
+        for n in range(1, order + 1)
+        for phi, d in enumerate(input_dims)
+        if not (share and n > 1 and phi == 1)
+    }
+    if kind != "ccp":
+        shapes.update({f"state{n}": (rank, rank) for n in range(2, order + 1)})
+        shapes.update({f"off{n}": (width, rank) for n in range(1, order + 1)})
+        shapes.update({f"seed{n}": (width,) for n in range(1, order + 1)})
+    shapes["head"] = (out_dim, rank)
+    shapes["head_bias"] = (out_dim,)
+    return shapes
 
-    input_maps: list[list]  # [order][variable] -> (d_phi, rank)
-    state_maps: list  # orders 2..N -> (rank, rank)
-    offset_maps: list  # [order] -> (offset_dim, rank)
-    offset_seeds: list  # [order] -> (offset_dim,)
-    head: object
-    head_bias: object
-    share_conditional: bool = False
 
-    def __post_init__(self):
-        n_vars, rank = _check_factor_grid(self.input_maps, "NcpParams")
-        _check_head(self.head, self.head_bias, rank, "NcpParams")
-        order = len(self.input_maps)
-        if len(self.state_maps) != order - 1:
+def _check_block(blk: ChainBlock, input_dims, who):
+    """Reject a block whose parameter names or shapes do not fit its kind,
+    order (the number of `in{n}.v0` factors), input dims and sharing."""
+    if blk.kind not in _BLOCK_KINDS:
+        raise ValueError(f"{who}: unknown block kind '{blk.kind}'")
+    share = blk.share_conditional
+    if share and len(input_dims) < 2:
+        raise ValueError(f"{who}: share_conditional needs a second variable")
+    order = blk.order
+    if order < 1:
+        raise ValueError(f"{who} needs at least one order")
+    p = blk.params
+    want = _layout(blk.kind, order, input_dims, 0, 0, 0, share)
+    if set(want) != set(p):
+        missing = [name for name in want if name not in p]
+        unexpected = [name for name in p if name not in want]
+        raise ValueError(
+            f"{who}: missing parameter(s) {missing}, unexpected {unexpected}"
+        )
+    for name, shape in want.items():
+        if np.ndim(p[name]) != len(shape):
             raise ValueError(
-                f"NcpParams needs {order - 1} state map(s), got {len(self.state_maps)}"
+                f"{who}: parameter '{name}' has shape {_shape(p[name])}, "
+                f"expected {len(shape)} dimension(s)"
             )
-        for i, v in enumerate(self.state_maps):
-            if _shape(v) != (rank, rank):
-                raise ValueError(
-                    f"state map {i + 2} has shape {_shape(v)}, expected ({rank}, {rank})"
-                )
-        if len(self.offset_maps) != order or len(self.offset_seeds) != order:
-            raise ValueError("NcpParams needs one offset map and seed per order")
-        width = self.offset_seeds[0].shape[0]
-        for i, (bm, bs) in enumerate(zip(self.offset_maps, self.offset_seeds)):
-            if _shape(bm) != (width, rank) or _shape(bs) != (width,):
-                raise ValueError(
-                    f"offset pair {i + 1} has shapes {_shape(bm)}/{_shape(bs)}, "
-                    f"expected ({width}, {rank})/({width},)"
-                )
-        if self.share_conditional:
-            if n_vars < 2:
-                raise ValueError("share_conditional needs a second variable")
-            for n in range(1, order):
-                if self.input_maps[n][1] is not self.input_maps[0][1]:
-                    raise ValueError(
-                        "share_conditional requires the order-1 conditional "
-                        f"factor to be aliased at order {n + 1}"
-                    )
-
-    order = CcpParams.order
-    n_variables = CcpParams.n_variables
-    rank = CcpParams.rank
-    out_dim = CcpParams.out_dim
-    input_dims = CcpParams.input_dims
-
-
-@dataclass
-class PiNetParams:
-    """Single-input skip recursion: y_n = (L_n^T z) * y_{n-1} + y_{n-1}."""
-
-    input_maps: list  # [order] -> (in_dim, rank)
-    head: object
-    head_bias: object
-
-    def __post_init__(self):
-        _, rank = _check_factor_grid([[m] for m in self.input_maps], "PiNetParams")
-        _check_head(self.head, self.head_bias, rank, "PiNetParams")
-
-    @property
-    def order(self):
-        return len(self.input_maps)
-
-    @property
-    def rank(self):
-        return self.head.shape[1]
-
-    @property
-    def out_dim(self):
-        return self.head.shape[0]
-
-    @property
-    def in_dim(self):
-        return self.input_maps[0].shape[0]
+    width = p["seed1"].shape[0] if "seed1" in p else 0
+    rank, out_dim = p["in1.v0"].shape[1], p["head"].shape[0]
+    for name, shape in _layout(
+        blk.kind, order, input_dims, rank, width, out_dim, share
+    ).items():
+        if _shape(p[name]) != shape:
+            raise ValueError(
+                f"{who}: parameter '{name}' has shape {_shape(p[name])}, "
+                f"expected {shape}"
+            )
 
 
 def _prep_inputs(inputs, dims, who):
@@ -210,90 +161,47 @@ def _col(vec):
     return vec.reshape((vec.shape[0], 1))
 
 
-def _linear_mix(maps, inputs):
-    acc = maps[0].T @ inputs[0]
-    for m, z in zip(maps[1:], inputs[1:]):
-        acc = acc + m.T @ z
+def _linear_mix(blk, n, inputs):
+    acc = blk.factor(n, 0).T @ inputs[0]
+    for phi in range(1, len(inputs)):
+        acc = acc + blk.factor(n, phi).T @ inputs[phi]
     return acc
 
 
-def ccp_forward_cols(p: CcpParams, inputs):
-    y = _linear_mix(p.input_maps[0], inputs)
-    for n in range(1, p.order):
-        y = y + _linear_mix(p.input_maps[n], inputs) * y
-    return p.head @ y + _col(p.head_bias)
+def ccp_forward_cols(blk: ChainBlock, inputs):
+    """Multiplicative-skip recursion y_n = y_{n-1} + (sum_phi U_n,phi^T z_phi) * y_{n-1};
+    with one input variable it is the Pi-net recursion."""
+    p = blk.params
+    y = _linear_mix(blk, 1, inputs)
+    for n in range(2, blk.order + 1):
+        y = y + _linear_mix(blk, n, inputs) * y
+    return p["head"] @ y + _col(p["head_bias"])
 
 
-def ncp_forward_cols(p: NcpParams, inputs):
-    y = _linear_mix(p.input_maps[0], inputs) * (
-        p.offset_maps[0].T @ _col(p.offset_seeds[0])
-    )
-    for n in range(1, p.order):
-        y = _linear_mix(p.input_maps[n], inputs) * (
-            p.state_maps[n - 1].T @ y + p.offset_maps[n].T @ _col(p.offset_seeds[n])
+def ncp_forward_cols(blk: ChainBlock, inputs, combine):
+    """Gated recursion y_n = (sum_phi A_n,phi^T z_phi) * (V_n^T y_{n-1} + B_n^T b_n),
+    with `combine` as the `*`; `operator.add` gives the additive ablation."""
+    p = blk.params
+    y = combine(_linear_mix(blk, 1, inputs), p["off1"].T @ _col(p["seed1"]))
+    for n in range(2, blk.order + 1):
+        y = combine(
+            _linear_mix(blk, n, inputs),
+            p[f"state{n}"].T @ y + p[f"off{n}"].T @ _col(p[f"seed{n}"]),
         )
-    return p.head @ y + _col(p.head_bias)
+    return p["head"] @ y + _col(p["head_bias"])
 
 
-def additive_forward_cols(p: NcpParams, inputs):
-    """Ablation of the gated recursion with every Hadamard replaced by addition."""
-    y = _linear_mix(p.input_maps[0], inputs) + (
-        p.offset_maps[0].T @ _col(p.offset_seeds[0])
-    )
-    for n in range(1, p.order):
-        y = _linear_mix(p.input_maps[n], inputs) + (
-            p.state_maps[n - 1].T @ y + p.offset_maps[n].T @ _col(p.offset_seeds[n])
-        )
-    return p.head @ y + _col(p.head_bias)
-
-
-def pinet_forward_cols(p: PiNetParams, z):
-    y = p.input_maps[0].T @ z
-    for n in range(1, p.order):
-        y = (p.input_maps[n].T @ z) * y + y
-    return p.head @ y + _col(p.head_bias)
-
-
-def spade_forward_cols(p: NcpParams, z_noise, z_cond):
+def spade_forward_cols(blk: ChainBlock, z_noise, z_cond):
     """Conditioning-by-gating recursion: the first layer consumes the noise
     alone and has no offset factor; later layers gate with the conditional
     input only."""
-    y = p.input_maps[0][0].T @ z_noise
-    for n in range(1, p.order):
-        y = (p.input_maps[n][1].T @ z_cond) * (
-            p.state_maps[n - 1].T @ y + p.offset_maps[n].T @ _col(p.offset_seeds[n])
+    p = blk.params
+    y = p["in1.v0"].T @ z_noise
+    for n in range(2, blk.order + 1):
+        y = (blk.factor(n, 1).T @ z_cond) * (
+            p[f"state{n}"].T @ y + p[f"off{n}"].T @ _col(p[f"seed{n}"])
         )
-    return p.head @ y + _col(p.head_bias)
-
-
-def _vector_entry(forward_cols, p, inputs, who):
-    cols, squeeze = _prep_inputs(inputs, p.input_dims, who)
-    out = forward_cols(p, cols)
-    return out[:, 0] if squeeze else out
-
-
-def ccp_forward(p: CcpParams, inputs):
-    return _vector_entry(ccp_forward_cols, p, inputs, "ccp_forward")
-
-
-def ncp_forward(p: NcpParams, inputs):
-    return _vector_entry(ncp_forward_cols, p, inputs, "ncp_forward")
-
-
-def additive_forward(p: NcpParams, inputs):
-    return _vector_entry(additive_forward_cols, p, inputs, "additive_forward")
-
-
-def pinet_forward(p: PiNetParams, z):
-    cols, squeeze = _prep_inputs([z], (p.in_dim,), "pinet_forward")
-    out = pinet_forward_cols(p, cols[0])
-    return out[:, 0] if squeeze else out
-
-
-def spade_forward(p: NcpParams, z_noise, z_cond):
-    cols, squeeze = _prep_inputs([z_noise, z_cond], p.input_dims, "spade_forward")
-    out = spade_forward_cols(p, cols[0], cols[1])
-    return out[:, 0] if squeeze else out
+    return p["head"] @ y + _col(p["head_bias"])
 
 
 def concat_linear_forward(weights, inputs):
@@ -321,31 +229,6 @@ def concat_linear_forward(weights, inputs):
     return out[:, 0] if squeeze else out
 
 
-_BLOCK_FORWARDS = {
-    "ccp": ccp_forward_cols,
-    "ncp": ncp_forward_cols,
-    "additive": additive_forward_cols,
-}
-
-
-@dataclass
-class ChainBlock:
-    kind: str
-    params: object
-    consume_prev: bool
-    consume_vars: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.kind not in _BLOCK_KINDS:
-            raise ValueError(f"unknown block kind '{self.kind}'")
-        want = CcpParams if self.kind == "ccp" else NcpParams
-        if not isinstance(self.params, want):
-            raise ValueError(
-                f"block kind '{self.kind}' needs {want.__name__} parameters"
-            )
-        self.consume_vars = tuple(int(j) for j in self.consume_vars)
-
-
 @dataclass
 class ModelSpec:
     """Chain of polynomial blocks; degrees multiply along the chain."""
@@ -367,24 +250,20 @@ class ModelSpec:
             raise ValueError("block 0 has no predecessor to consume")
         prev_out = None
         for i, blk in enumerate(self.blocks):
-            if i > 0 and not blk.consume_prev and not blk.consume_vars:
+            if not blk.consume_prev and not blk.consume_vars:
                 raise ValueError(f"block {i} consumes nothing")
             for j in blk.consume_vars:
                 if not 0 <= j < len(self.var_dims):
                     raise ValueError(f"block {i} consumes unknown variable {j}")
-            expect = ([prev_out] if blk.consume_prev else []) + [
+            dims = ([prev_out] if blk.consume_prev else []) + [
                 self.var_dims[j] for j in blk.consume_vars
             ]
-            got = tuple(blk.params.input_dims)
-            if got != tuple(expect):
-                raise ValueError(
-                    f"block {i} input dims {got} do not match chain dims {tuple(expect)}"
-                )
-            prev_out = blk.params.out_dim
+            _check_block(blk, dims, f"block {i}")
+            prev_out = blk.out_dim
 
     @property
     def out_dim(self):
-        return self.blocks[-1].params.out_dim
+        return self.blocks[-1].out_dim
 
 
 def product_compose(spec: ModelSpec, inputs):
@@ -398,7 +277,10 @@ def product_compose(spec: ModelSpec, inputs):
     last = len(spec.blocks) - 1
     for i, blk in enumerate(spec.blocks):
         ins = ([x] if blk.consume_prev else []) + [cols[j] for j in blk.consume_vars]
-        x = _BLOCK_FORWARDS[blk.kind](blk.params, ins)
+        if blk.kind == "ccp":
+            x = ccp_forward_cols(blk, ins)
+        else:
+            x = ncp_forward_cols(blk, ins, _COMBINE[blk.kind])
         if spec.centering == "batch_mean" and i < last:
             x = x - x.sum(axis=1, keepdims=True) * (1.0 / x.shape[1])
     if spec.output_activation == "tanh":
@@ -410,19 +292,26 @@ def _uniform(rng, shape, scale):
     return rng.uniform(-scale, scale, size=shape)
 
 
+def _input_factors(rng, input_dims, rank, order, share, scale):
+    # A shared block still draws the conditional factors it drops, so
+    # sharing does not shift the stream for the parameters drawn after.
+    factors = {}
+    for n in range(1, order + 1):
+        for phi, d in enumerate(input_dims):
+            m = _uniform(rng, (d, rank), scale)
+            if not (share and n > 1 and phi == 1):
+                factors[f"in{n}.v{phi}"] = m
+    return factors
+
+
 def init_ccp(rng, input_dims, rank, out_dim, order, share_conditional=False, scale=None):
+    """A ccp block that consumes variables 0..len(input_dims)-1."""
     scale = 1.0 / np.sqrt(rank) if scale is None else float(scale)
-    input_maps = [
-        [_uniform(rng, (d, rank), scale) for d in input_dims] for _ in range(order)
-    ]
-    if share_conditional:
-        for n in range(1, order):
-            input_maps[n][1] = input_maps[0][1]
-    return CcpParams(
-        input_maps=input_maps,
-        head=_uniform(rng, (out_dim, rank), scale),
-        head_bias=np.zeros(out_dim),
-        share_conditional=share_conditional,
+    params = _input_factors(rng, input_dims, rank, order, share_conditional, scale)
+    params["head"] = _uniform(rng, (out_dim, rank), scale)
+    params["head_bias"] = np.zeros(out_dim)
+    return ChainBlock(
+        "ccp", params, False, tuple(range(len(input_dims))), share_conditional
     )
 
 
@@ -436,31 +325,20 @@ def init_ncp(
     share_conditional=False,
     scale=None,
 ):
+    """An ncp block that consumes variables 0..len(input_dims)-1."""
     scale = 1.0 / np.sqrt(rank) if scale is None else float(scale)
     width = rank if offset_dim is None else int(offset_dim)
-    input_maps = [
-        [_uniform(rng, (d, rank), scale) for d in input_dims] for _ in range(order)
-    ]
-    if share_conditional:
-        for n in range(1, order):
-            input_maps[n][1] = input_maps[0][1]
-    return NcpParams(
-        input_maps=input_maps,
-        state_maps=[_uniform(rng, (rank, rank), scale) for _ in range(order - 1)],
-        offset_maps=[_uniform(rng, (width, rank), scale) for _ in range(order)],
-        offset_seeds=[np.ones(width) for _ in range(order)],
-        head=_uniform(rng, (out_dim, rank), scale),
-        head_bias=np.zeros(out_dim),
-        share_conditional=share_conditional,
-    )
-
-
-def init_pinet(rng, in_dim, rank, out_dim, order, scale=None):
-    scale = 1.0 / np.sqrt(rank) if scale is None else float(scale)
-    return PiNetParams(
-        input_maps=[_uniform(rng, (in_dim, rank), scale) for _ in range(order)],
-        head=_uniform(rng, (out_dim, rank), scale),
-        head_bias=np.zeros(out_dim),
+    params = _input_factors(rng, input_dims, rank, order, share_conditional, scale)
+    for n in range(2, order + 1):
+        params[f"state{n}"] = _uniform(rng, (rank, rank), scale)
+    for n in range(1, order + 1):
+        params[f"off{n}"] = _uniform(rng, (width, rank), scale)
+    for n in range(1, order + 1):
+        params[f"seed{n}"] = np.ones(width)
+    params["head"] = _uniform(rng, (out_dim, rank), scale)
+    params["head_bias"] = np.zeros(out_dim)
+    return ChainBlock(
+        "ncp", params, False, tuple(range(len(input_dims))), share_conditional
     )
 
 
@@ -500,9 +378,9 @@ def init_chain(
         width = out_dim if i == len(block_orders) - 1 else hidden_dim
         share = share_conditional and len(dims) >= 2
         blocks.append(
-            ChainBlock(
+            replace(
+                init(rng, dims, rank, width, order, share_conditional=share),
                 kind=kind,
-                params=init(rng, dims, rank, width, order, share_conditional=share),
                 consume_prev=consume_prev,
                 consume_vars=consume_vars,
             )
@@ -516,34 +394,27 @@ def init_chain(
     )
 
 
-def spade_config(p: NcpParams) -> NcpParams:
-    """NCP parameters whose gated forward collapses to spade_forward(p).
+def spade_config(blk: ChainBlock) -> ChainBlock:
+    """Unshared ncp block whose gated forward collapses to
+    spade_forward_cols(blk, ...).
 
-    Zeroes the factors spade_forward never reads and pins the first offset
-    pair so its product is the all-ones vector (first seed entry 1, first
-    offset row 1), making the first-layer Hadamard an exact identity.
+    Zeroes the factors spade_forward_cols never reads and pins the first
+    offset pair so its product is the all-ones vector (first seed entry 1,
+    first offset row 1), making the first-layer Hadamard an exact identity.
     """
-    if p.n_variables != 2:
-        raise ValueError("spade_config expects a two-variable model")
-    input_maps = [[np.array(p.input_maps[0][0]), np.zeros_like(p.input_maps[0][1])]]
-    for n in range(1, p.order):
-        input_maps.append(
-            [np.zeros_like(p.input_maps[n][0]), np.array(p.input_maps[n][1])]
-        )
-    offset_maps = [np.array(m) for m in p.offset_maps]
-    offset_seeds = [np.array(s) for s in p.offset_seeds]
-    offset_maps[0] = np.zeros_like(offset_maps[0])
-    offset_maps[0][0, :] = 1.0
-    offset_seeds[0] = np.zeros_like(offset_seeds[0])
-    offset_seeds[0][0] = 1.0
-    return NcpParams(
-        input_maps=input_maps,
-        state_maps=[np.array(v) for v in p.state_maps],
-        offset_maps=offset_maps,
-        offset_seeds=offset_seeds,
-        head=np.array(p.head),
-        head_bias=np.array(p.head_bias),
-    )
+    if blk.kind == "ccp" or blk.n_variables != 2:
+        raise ValueError("spade_config expects a two-variable ncp block")
+    p = blk.params
+    params = {"in1.v0": np.array(p["in1.v0"]), "in1.v1": np.zeros_like(p["in1.v1"])}
+    for n in range(2, blk.order + 1):
+        params[f"in{n}.v0"] = np.zeros_like(p[f"in{n}.v0"])
+        params[f"in{n}.v1"] = np.array(blk.factor(n, 1))
+    params.update({k: np.array(a) for k, a in p.items() if not k.startswith("in")})
+    params["off1"] = np.zeros_like(p["off1"])
+    params["off1"][0, :] = 1.0
+    params["seed1"] = np.zeros_like(p["seed1"])
+    params["seed1"][0] = 1.0
+    return replace(blk, kind="ncp", params=params, share_conditional=False)
 
 
 def init_discriminator(rng, in_dim, hidden, scale=None):
@@ -566,83 +437,39 @@ def discriminator_forward(params, x):
     return params["w3"] @ h + _col(params["b3"])
 
 
-def _rebuild(model, leaf, prefix="", memo=None):
-    memo = {} if memo is None else memo
-
-    def get(name, arr):
-        key = id(arr)
-        if key not in memo:
-            memo[key] = leaf(name, arr)
-        return memo[key]
-
-    if isinstance(model, CcpParams):
-        return CcpParams(
-            input_maps=[
-                [get(f"{prefix}in{n + 1}.v{phi}", m) for phi, m in enumerate(row)]
-                for n, row in enumerate(model.input_maps)
-            ],
-            head=get(f"{prefix}head", model.head),
-            head_bias=get(f"{prefix}head_bias", model.head_bias),
-            share_conditional=model.share_conditional,
-        )
-    if isinstance(model, NcpParams):
-        return NcpParams(
-            input_maps=[
-                [get(f"{prefix}in{n + 1}.v{phi}", m) for phi, m in enumerate(row)]
-                for n, row in enumerate(model.input_maps)
-            ],
-            state_maps=[
-                get(f"{prefix}state{n + 2}", v) for n, v in enumerate(model.state_maps)
-            ],
-            offset_maps=[
-                get(f"{prefix}off{n + 1}", m) for n, m in enumerate(model.offset_maps)
-            ],
-            offset_seeds=[
-                get(f"{prefix}seed{n + 1}", s)
-                for n, s in enumerate(model.offset_seeds)
-            ],
-            head=get(f"{prefix}head", model.head),
-            head_bias=get(f"{prefix}head_bias", model.head_bias),
-            share_conditional=model.share_conditional,
-        )
-    if isinstance(model, PiNetParams):
-        return PiNetParams(
-            input_maps=[
-                get(f"{prefix}in{n + 1}", m) for n, m in enumerate(model.input_maps)
-            ],
-            head=get(f"{prefix}head", model.head),
-            head_bias=get(f"{prefix}head_bias", model.head_bias),
-        )
-    if isinstance(model, ModelSpec):
-        return replace(
-            model,
-            blocks=[
-                replace(blk, params=_rebuild(blk.params, leaf, f"{prefix}b{i}.", memo))
-                for i, blk in enumerate(model.blocks)
-            ],
-        )
-    if isinstance(model, dict):
-        return {k: get(f"{prefix}{k}", v) for k, v in model.items()}
-    raise TypeError(f"cannot walk parameters of {type(model).__name__}")
-
-
 def model_parameters(model) -> dict:
-    """Named parameter arrays in traversal order; aliased factors appear once."""
-    out = {}
-
-    def leaf(name, arr):
-        out[name] = arr
-        return arr
-
-    _rebuild(model, leaf)
-    return out
-
-
-def lift_model(tape: Tape, model):
-    """Copy of `model` whose leaves are tape Vars (aliasing preserved)."""
-    return _rebuild(model, lambda name, arr: tape.param(name, arr))
+    """Named parameter arrays of a ModelSpec (block i's names prefixed by
+    `b{i}.`), a ChainBlock or a plain dict, in order; a shared conditional
+    factor appears once."""
+    if isinstance(model, ModelSpec):
+        return {
+            f"b{i}.{name}": arr
+            for i, blk in enumerate(model.blocks)
+            for name, arr in blk.params.items()
+        }
+    if isinstance(model, ChainBlock):
+        return dict(model.params)
+    return dict(model)
 
 
 def with_parameters(model, values: dict):
-    """Copy of `model` with leaves replaced by `values[name]`."""
-    return _rebuild(model, lambda name, arr: values[name])
+    """Copy of `model` whose parameters are `values[name]`, named as by
+    `model_parameters`. The structure is not validated again."""
+    if isinstance(model, ModelSpec):
+        out = copy.copy(model)
+        out.blocks = [
+            replace(blk, params={name: values[f"b{i}.{name}"] for name in blk.params})
+            for i, blk in enumerate(model.blocks)
+        ]
+        return out
+    if isinstance(model, ChainBlock):
+        return replace(model, params={name: values[name] for name in model.params})
+    return {name: values[name] for name in model}
+
+
+def lift_model(tape: Tape, model):
+    """Copy of `model` whose parameters are tape leaves of the same names."""
+    return with_parameters(
+        model,
+        {name: tape.param(name, arr) for name, arr in model_parameters(model).items()},
+    )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import CcpParams
+from .models import ChainBlock
 from .tensors import khatri_rao, mode_m_fold, mode_m_vec_product
 
 MAX_DIM = 8
@@ -200,19 +200,20 @@ def second_order_oracle(w: SecondOrderWeights) -> OracleParams:
     )
 
 
-def build_order2_coupled_tensors(p: CcpParams) -> OracleParams:
-    """Fold an order-2 coupled factorization into its full tensors.
+def build_order2_coupled_tensors(p: ChainBlock) -> OracleParams:
+    """Fold an order-2 two-variable ccp block into its full tensors.
 
     The cross tensor is the sum of both mixed products; evaluated against
     (z_noise, z_cond) it contributes
     C [(U2_I^T z_noise) * (U1_II^T z_cond) + (U1_I^T z_noise) * (U2_II^T z_cond)].
     """
-    if p.order != 2 or p.n_variables != 2:
-        raise ValueError("expected a two-variable model of order 2")
+    if p.kind != "ccp" or p.order != 2 or p.n_variables != 2:
+        raise ValueError("expected a two-variable ccp block of order 2")
     if p.rank > MAX_DIM:
         raise ValueError(f"rank {p.rank} outside the supported range [1, {MAX_DIM}]")
-    (u1_n, u1_c), (u2_n, u2_c) = p.input_maps
-    c = p.head
+    u1_n, u1_c = p.factor(1, 0), p.factor(1, 1)
+    u2_n, u2_c = p.factor(2, 0), p.factor(2, 1)
+    c = p.params["head"]
     d_n, d_c = p.input_dims
     o = p.out_dim
     cross = c @ (khatri_rao(u1_c, u2_n) + khatri_rao(u2_c, u1_n)).T
@@ -227,7 +228,7 @@ def build_order2_coupled_tensors(p: CcpParams) -> OracleParams:
             (2, 2): mode_m_fold(cross, 1, (o, d_n, d_c)),
             (2, 3): mode_m_fold(c @ khatri_rao(u2_n, u1_n).T, 1, (o, d_n, d_n)),
         },
-        bias=np.array(p.head_bias, dtype=np.float64),
+        bias=np.array(p.params["head_bias"], dtype=np.float64),
     )
 
 

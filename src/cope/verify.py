@@ -6,6 +6,7 @@ never changes another suite's trials.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from functools import reduce
@@ -13,25 +14,18 @@ from functools import reduce
 import numpy as np
 
 from .models import (
-    CcpParams,
-    PiNetParams,
-    additive_forward_cols,
-    ccp_forward,
+    ChainBlock,
+    ModelSpec,
     ccp_forward_cols,
     concat_linear_forward,
     init_ccp,
     init_chain,
     init_concat_linear,
     init_ncp,
-    init_pinet,
     model_parameters,
-    ncp_forward,
     ncp_forward_cols,
-    pinet_forward,
-    pinet_forward_cols,
     product_compose,
     spade_config,
-    spade_forward,
     spade_forward_cols,
     with_parameters,
 )
@@ -63,6 +57,11 @@ class SuiteResult:
         }
 
 
+def _alone(blk: ChainBlock) -> ModelSpec:
+    """One-block model over the block's own input variables."""
+    return ModelSpec(blk.input_dims, [blk])
+
+
 def run_claim1(seed: int = 0, draws: int = 200, pairs: int = 10) -> SuiteResult:
     """Order-2 coupled factorization equals its materialized tensors."""
     t0 = time.perf_counter()
@@ -71,12 +70,15 @@ def run_claim1(seed: int = 0, draws: int = 200, pairs: int = 10) -> SuiteResult:
     for _ in range(draws):
         d1, d2, k, o = (int(v) for v in rng.integers(1, 6, size=4))
         p = init_ccp(rng, (d1, d2), k, o, order=2)
-        p.head_bias = rng.uniform(-1.0, 1.0, o)
+        p.params["head_bias"] = rng.uniform(-1.0, 1.0, o)
         oracle = build_order2_coupled_tensors(p)
+        spec = _alone(p)
         for _ in range(pairs):
             z1, z2 = rng.uniform(-1, 1, d1), rng.uniform(-1, 1, d2)
             dev = np.max(
-                np.abs(eval_explicit(oracle, [z1, z2]) - ccp_forward(p, [z1, z2]))
+                np.abs(
+                    eval_explicit(oracle, [z1, z2]) - product_compose(spec, [z1, z2])
+                )
             )
             max_dev = max(max_dev, float(dev))
     return SuiteResult(
@@ -138,20 +140,14 @@ def run_degree_law(seed: int = 0, instances: int = 20) -> SuiteResult:
             d1, d2 = (int(v) for v in rng.integers(2, 5, size=2))
             k = int(rng.integers(2, 6))
             o = int(rng.integers(1, 4))
-            ccp = init_ccp(rng, (d1, d2), k, o, order)
-            check(
-                f"ccp order {order} [{i}]",
-                lambda zs, p=ccp: ccp_forward(p, zs),
-                (d1, d2),
-                order,
-            )
-            ncp = init_ncp(rng, (d1, d2), k, o, order)
-            check(
-                f"ncp order {order} [{i}]",
-                lambda zs, p=ncp: ncp_forward(p, zs),
-                (d1, d2),
-                order,
-            )
+            for kind, init in (("ccp", init_ccp), ("ncp", init_ncp)):
+                spec = _alone(init(rng, (d1, d2), k, o, order))
+                check(
+                    f"{kind} order {order} [{i}]",
+                    lambda zs, s=spec: product_compose(s, zs),
+                    (d1, d2),
+                    order,
+                )
     for block_orders in ((2, 2), (2, 2, 2)):
         expected = int(np.prod(block_orders))
         for i in range(instances):
@@ -178,6 +174,20 @@ def run_degree_law(seed: int = 0, instances: int = 20) -> SuiteResult:
     )
 
 
+def _silence_last_input(blk: ChainBlock) -> ChainBlock:
+    """Zero the factors of `blk`'s last input in place; return the ccp
+    block without that input, sharing the other arrays."""
+    phi = blk.n_variables - 1
+    for n in range(1, blk.order + 1):
+        blk.params[f"in{n}.v{phi}"] = np.zeros_like(blk.params[f"in{n}.v{phi}"])
+    return ChainBlock(
+        "ccp",
+        {name: a for name, a in blk.params.items() if not name.endswith(f".v{phi}")},
+        False,
+        blk.consume_vars[:-1],
+    )
+
+
 def run_reductions(seed: int = 0, instances: int = 50) -> SuiteResult:
     """Zeroed or renormalized couplings collapse to the simpler recursions."""
     t0 = time.perf_counter()
@@ -186,36 +196,28 @@ def run_reductions(seed: int = 0, instances: int = 50) -> SuiteResult:
     for _ in range(instances):
         d1, d2, k, o = (int(v) for v in rng.integers(2, 5, size=4))
         order = int(rng.integers(2, 4))
-        # multiplicative-skip recursion with a silent second input
+        # multiplicative-skip recursion with a silent second input: the
+        # one-variable ccp block, which is the Pi-net recursion
         p = init_ccp(rng, (d1, d2), k, o, order)
-        for n in range(order):
-            p.input_maps[n][1] = np.zeros_like(p.input_maps[n][1])
-        single = PiNetParams(
-            input_maps=[p.input_maps[n][0] for n in range(order)],
-            head=p.head,
-            head_bias=p.head_bias,
-        )
+        two, one = _alone(p), _alone(_silence_last_input(p))
         # three-variable recursion with a silent third input
         p3 = init_ccp(rng, (d1, d2, d2), k, o, order)
-        for n in range(order):
-            p3.input_maps[n][2] = np.zeros_like(p3.input_maps[n][2])
-        p2 = CcpParams(
-            input_maps=[row[:2] for row in p3.input_maps],
-            head=p3.head,
-            head_bias=p3.head_bias,
-        )
+        three, first_two = _alone(p3), _alone(_silence_last_input(p3))
         # gated recursion pinned to the conditioning-by-gating layout
         g = init_ncp(rng, (d1, d2), k, o, order)
-        cfg = spade_config(g)
+        cfg = _alone(spade_config(g))
         for _ in range(3):
             z1, z2 = rng.uniform(-1, 1, d1), rng.uniform(-1, 1, d2)
             z3 = np.zeros(d2)
-            devs = [
-                np.max(np.abs(ccp_forward(p, [z1, z2 * 0]) - pinet_forward(single, z1))),
-                np.max(np.abs(ccp_forward(p3, [z1, z2, z3]) - ccp_forward(p2, [z1, z2]))),
-                np.max(np.abs(ncp_forward(cfg, [z1, z2]) - spade_forward(g, z1, z2))),
+            spade = spade_forward_cols(g, z1[:, None], z2[:, None])[:, 0]
+            diffs = [
+                product_compose(two, [z1, z2 * 0]) - product_compose(one, [z1]),
+                product_compose(three, [z1, z2, z3])
+                - product_compose(first_two, [z1, z2]),
+                product_compose(cfg, [z1, z2]) - spade,
             ]
-            max_dev = max(max_dev, float(max(devs)))
+            for diff in diffs:
+                max_dev = max(max_dev, float(np.max(np.abs(diff))))
     return SuiteResult(
         "reductions",
         instances * 3,
@@ -238,7 +240,7 @@ def run_affineness(seed: int = 0, rays: int = 50) -> SuiteResult:
         order = int(rng.integers(2, 4))
         add = init_ncp(rng, (d1, d2), k, o, order)
         lin = init_concat_linear(rng, (d1, d2), o)
-        ccp = init_ccp(rng, (d1, d2), k, o, order)
+        ccp = _alone(init_ccp(rng, (d1, d2), k, o, order))
         base = rng.uniform(-1, 1, d1 + d2)
         direction = rng.uniform(-1, 1, d1 + d2)
 
@@ -251,10 +253,12 @@ def run_affineness(seed: int = 0, rays: int = 50) -> SuiteResult:
 
         baseline_max = max(
             baseline_max,
-            second_diff(lambda zs: additive_forward_cols(add, [z[:, None] for z in zs])),
+            second_diff(
+                lambda zs: ncp_forward_cols(add, [z[:, None] for z in zs], operator.add)
+            ),
             second_diff(lambda zs: concat_linear_forward(lin, zs)),
         )
-        if second_diff(lambda zs: ccp_forward(ccp, zs)) > 1e-3:
+        if second_diff(lambda zs: product_compose(ccp, zs)) > 1e-3:
             curved += 1
     fraction = curved / rays
     passed = baseline_max < 1e-9 and fraction >= 0.95
@@ -289,11 +293,11 @@ def run_gradients(seed: int = 0, instances: int = 20) -> SuiteResult:
         ccp = init_ccp(rng, (d1, d2), k, o, order=3)
         cases.append((ccp, lambda m: ccp_forward_cols(m, z)))
         ncp = init_ncp(rng, (d1, d2), k, o, order=3)
-        cases.append((ncp, lambda m: ncp_forward_cols(m, z)))
-        pin = init_pinet(rng, d1, k, o, order=3)
-        cases.append((pin, lambda m: pinet_forward_cols(m, zs)))
+        cases.append((ncp, lambda m: ncp_forward_cols(m, z, operator.mul)))
+        single = init_ccp(rng, (d1,), k, o, order=3)
+        cases.append((single, lambda m: ccp_forward_cols(m, [zs])))
         add = init_ncp(rng, (d1, d2), k, o, order=3)
-        cases.append((add, lambda m: additive_forward_cols(m, z)))
+        cases.append((add, lambda m: ncp_forward_cols(m, z, operator.add)))
         spd = init_ncp(rng, (d1, d2), k, o, order=3)
         cases.append((spd, lambda m: spade_forward_cols(m, z[0], z[1])))
         chain = init_chain(

@@ -1,7 +1,10 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cope.checkpoint import load_model, save_model
 from cope.models import init_chain, model_parameters, product_compose
@@ -37,9 +40,12 @@ def test_round_trip_restores_sharing(tmp_path):
     save_model(path, spec)
     back = load_model(path)
     for blk in back.blocks:
-        first = blk.params.input_maps[0][1]
-        for row in blk.params.input_maps[1:]:
-            assert row[1] is first
+        assert blk.share_conditional
+        assert "in1.v1" in blk.params and "in2.v1" not in blk.params
+    z = [np.linspace(-1, 1, 12).reshape(3, 4), np.ones((2, 4))]
+    np.testing.assert_array_equal(
+        product_compose(spec, z), product_compose(back, z)
+    )
 
 
 def test_unshared_stays_unshared(tmp_path):
@@ -47,8 +53,20 @@ def test_unshared_stays_unshared(tmp_path):
     path = tmp_path / "m.json"
     save_model(path, spec)
     back = load_model(path)
-    maps = back.blocks[0].params.input_maps
-    assert maps[0][1] is not maps[1][1]
+    blk = back.blocks[0]
+    assert not blk.share_conditional
+    assert blk.params["in2.v1"] is not blk.params["in1.v1"]
+
+
+def test_parameter_names_are_stable():
+    # Adam state, tape leaves and checkpoint entries all key on these names
+    block = [
+        "in1.v0", "in1.v1", "in2.v0", "state2", "off1", "off2", "seed1", "seed2",
+        "head", "head_bias",
+    ]
+    assert list(model_parameters(_chain(share=True))) == [
+        f"b{i}.{name}" for i in range(2) for name in block
+    ]
 
 
 def test_rejects_wrong_format_name(tmp_path):
@@ -73,13 +91,120 @@ def test_rejects_newer_version(tmp_path):
         load_model(path)
 
 
+def test_rejects_version_1_document(tmp_path):
+    spec = _chain()
+    path = tmp_path / "m.json"
+    save_model(path, spec)
+    doc = json.loads(path.read_text())
+    doc["version"] = 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="version 1 is not 2"):
+        load_model(path)
+
+
 def test_rejects_size_mismatch(tmp_path):
     spec = _chain()
     path = tmp_path / "m.json"
     save_model(path, spec)
     doc = json.loads(path.read_text())
-    head = doc["blocks"][0]["head"]
+    head = doc["blocks"][0]["params"]["head"]
     head["data"] = head["data"][:-1]
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="shape"):
         load_model(path)
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """A valid document of the shared ncp chain and a path to write variants to."""
+    path = tmp_path_factory.mktemp("ckpt") / "m.json"
+    save_model(path, _chain(share=True))
+    return json.loads(path.read_text()), path
+
+
+DELETE = object()
+
+
+def _write(path, doc):
+    # a new file each time: truncating one in place is slow on some filesystems
+    path.unlink(missing_ok=True)
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "where,value,match",
+    [
+        (("var_dims",), DELETE, "missing field 'var_dims'"),
+        (("var_dims",), [3, "2"], "field 'var_dims' must list non-negative integers"),
+        (("blocks",), {}, "field 'blocks' is dict, expected list"),
+        (("blocks", 0), [], "block 0: expected an object, got list"),
+        (("output_activation",), DELETE, "missing field 'output_activation'"),
+        (("centering",), "spam", "unknown centering 'spam'"),
+        (("blocks", 0, "kind"), "spam", "block 0: unknown block kind 'spam'"),
+        (("blocks", 0, "kind"), 3, "field 'kind' is int, expected str"),
+        (("blocks", 0, "consume_prev"), 0, "field 'consume_prev' is int, expected bool"),
+        (("blocks", 0, "consume_vars"), [0, -1], "'consume_vars' must list non-negative"),
+        (("blocks", 1, "share_conditional"), DELETE, "missing field 'share_conditional'"),
+        (("blocks", 1, "params"), DELETE, "block 1: missing field 'params'"),
+        (("blocks", 0, "params", "head"), DELETE, r"block 0: missing parameter\(s\) \['head'\]"),
+        (("blocks", 0, "params", "state2"), DELETE, r"missing parameter\(s\) \['state2'\]"),
+        (("blocks", 0, "params", "in2.v1"), {"shape": [2, 3], "data": [0] * 6},
+         r"block 0: missing parameter\(s\) \[\], unexpected \['in2.v1'\]"),
+        (("blocks", 0, "params", "head"), 1.5, "parameter 'head': expected an object"),
+        (("blocks", 0, "params", "head", "data"), None,
+         "parameter 'head': field 'data' is NoneType, expected list"),
+        (("blocks", 0, "params", "head", "data", 4), "x", "field 'data' must list numbers"),
+        (("blocks", 0, "params", "head", "data", 4), True, "field 'data' must list numbers"),
+        (("blocks", 0, "params", "head", "shape"), DELETE, "missing field 'shape'"),
+        (("blocks", 0, "params", "head", "shape"), [3, -3], "'shape' must list non-negative"),
+        (("blocks", 0, "params", "head", "shape"), [9], r"'head' has shape \(9,\), expected 2"),
+        (("blocks", 0, "params", "head", "shape"), [1, 9],
+         r"'head' has shape \(1, 9\), expected \(1, 3\)"),
+        (("blocks", 0, "params", "head", "shape"), [3, 4], "9 values do not fill shape"),
+    ],
+)
+def test_malformed_document_names_the_field(saved, where, value, match):
+    doc, path = saved
+    doc = copy.deepcopy(doc)
+    *parents, last = where
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    _write(path, doc)
+    with pytest.raises(ValueError, match=match) as err:
+        load_model(path)
+    assert str(err.value).startswith(str(path))
+
+
+_JUNK = st.sampled_from(
+    [None, True, 0, -1, 2, 1.5, "x", "ncp", [], [0], [-1, 2], {},
+     {"shape": [1], "data": [0.0]}]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_mutation_raises_value_error_or_loads(saved, data):
+    doc, path = saved
+    doc = copy.deepcopy(doc)
+    node = doc
+    while True:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        child = node[key]
+        if not isinstance(child, (dict, list)) or not child or data.draw(st.booleans()):
+            break
+        node = child
+    if data.draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = data.draw(_JUNK)
+    _write(path, doc)
+    try:
+        load_model(path)
+    except ValueError:
+        pass

@@ -25,6 +25,7 @@ def test_unknown_suite_named_in_error(tmp_path, capsys):
     code = main(["verify", "--suite", "nope", "--out", str(tmp_path / "v")])
     assert code == 2
     assert "nope" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -134,6 +135,17 @@ def test_training_divergence_exits_1(tmp_path, capsys):
     ])
     assert code == 1
     assert "diverged" in capsys.readouterr().err
+
+
+def test_value_error_during_a_run_exits_1(tmp_path, capsys, monkeypatch):
+    def broken_trainer(*args, **kwargs):
+        raise ValueError("broken trainer")
+
+    monkeypatch.setattr("cope.cli.train_regression", broken_trainer)
+    code = main(["train-regression", "--steps", "1", "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: broken trainer" in err and "config error" not in err
 
 
 def test_degree_report_matches_nominal_order(tmp_path, capsys):

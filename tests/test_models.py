@@ -2,80 +2,80 @@ import numpy as np
 import pytest
 
 from cope.models import (
-    CcpParams,
     ChainBlock,
     ModelSpec,
-    NcpParams,
-    PiNetParams,
-    additive_forward,
-    ccp_forward,
+    ccp_forward_cols,
     concat_linear_forward,
     init_ccp,
     init_chain,
     init_concat_linear,
+    init_discriminator,
     init_ncp,
-    init_pinet,
     lift_model,
     model_parameters,
-    ncp_forward,
-    pinet_forward,
     product_compose,
     spade_config,
-    spade_forward,
+    spade_forward_cols,
+    with_parameters,
 )
-from cope.autodiff import Tape
+from cope.autodiff import Tape, Var
 from cope.oracle import degree_probe
 
 
-def ones_ccp(order, n_vars=2, d=1, k=1, o=1):
-    return CcpParams(
-        input_maps=[[np.ones((d, k)) for _ in range(n_vars)] for _ in range(order)],
-        head=np.ones((o, k)),
-        head_bias=np.zeros(o),
-    )
+def ones_block(kind, order, n_vars=2, d=1, k=1, o=1, width=1):
+    params = {
+        f"in{n}.v{phi}": np.ones((d, k))
+        for n in range(1, order + 1)
+        for phi in range(n_vars)
+    }
+    if kind != "ccp":
+        params.update({f"state{n}": np.ones((k, k)) for n in range(2, order + 1)})
+        params.update({f"off{n}": np.ones((width, k)) for n in range(1, order + 1)})
+        params.update({f"seed{n}": np.ones(width) for n in range(1, order + 1)})
+    params["head"] = np.ones((o, k))
+    params["head_bias"] = np.zeros(o)
+    return ChainBlock(kind, params, False, tuple(range(n_vars)))
 
 
-def ones_ncp(order, n_vars=2, d=1, k=1, o=1, width=1):
-    return NcpParams(
-        input_maps=[[np.ones((d, k)) for _ in range(n_vars)] for _ in range(order)],
-        state_maps=[np.ones((k, k)) for _ in range(order - 1)],
-        offset_maps=[np.ones((width, k)) for _ in range(order)],
-        offset_seeds=[np.ones(width) for _ in range(order)],
-        head=np.ones((o, k)),
-        head_bias=np.zeros(o),
-    )
+def alone(blk):
+    return ModelSpec(blk.input_dims, [blk])
+
+
+def run(blk, inputs):
+    return product_compose(alone(blk), inputs)
+
+
+def spade(blk, z_noise, z_cond):
+    return spade_forward_cols(blk, z_noise[:, None], z_cond[:, None])[:, 0]
 
 
 class TestScalarUnrolls:
     def test_ccp_order1(self):
-        assert ccp_forward(ones_ccp(1), [[2.0], [3.0]]) == pytest.approx([5.0])
+        assert run(ones_block("ccp", 1), [[2.0], [3.0]]) == pytest.approx([5.0])
 
     def test_ccp_order2(self):
         # y1 = 5, y2 = 5 + 5*5 = 30
-        assert ccp_forward(ones_ccp(2), [[2.0], [3.0]]) == pytest.approx([30.0])
+        assert run(ones_block("ccp", 2), [[2.0], [3.0]]) == pytest.approx([30.0])
 
     def test_ncp_order2(self):
         # y1 = 5*1, y2 = 5*(5+1) = 30
-        assert ncp_forward(ones_ncp(2), [[2.0], [3.0]]) == pytest.approx([30.0])
+        assert run(ones_block("ncp", 2), [[2.0], [3.0]]) == pytest.approx([30.0])
 
     def test_ncp_zero_seeds_order1_returns_bias(self):
-        p = ones_ncp(1)
-        p.offset_seeds[0] = np.zeros(1)
-        p.head_bias = np.array([7.5])
-        assert ncp_forward(p, [[2.0], [3.0]]) == pytest.approx([7.5])
+        p = ones_block("ncp", 1)
+        p.params["seed1"] = np.zeros(1)
+        p.params["head_bias"] = np.array([7.5])
+        assert run(p, [[2.0], [3.0]]) == pytest.approx([7.5])
 
     def test_pinet_order2(self):
-        p = PiNetParams(
-            input_maps=[np.ones((2, 1)), np.ones((2, 1))],
-            head=np.ones((1, 1)),
-            head_bias=np.zeros(1),
-        )
-        # y1 = 5, y2 = 5*5 + 5 = 30
-        assert pinet_forward(p, [2.0, 3.0]) == pytest.approx([30.0])
+        # the Pi-net recursion is the one-variable ccp block
+        p = ones_block("ccp", 2, n_vars=1, d=2)
+        # y1 = 5, y2 = 5 + 5*5 = 30
+        assert run(p, [[2.0, 3.0]]) == pytest.approx([30.0])
 
     def test_additive_order2(self):
         # y1 = 5 + 1 = 6, y2 = 5 + (6 + 1) = 12
-        assert additive_forward(ones_ncp(2), [[2.0], [3.0]]) == pytest.approx([12.0])
+        assert run(ones_block("additive", 2), [[2.0], [3.0]]) == pytest.approx([12.0])
 
     def test_concat_linear(self):
         weights = np.arange(6.0).reshape(3, 2)
@@ -87,23 +87,23 @@ class TestScalarUnrolls:
 class TestBatchSemantics:
     def test_columns_match_vector_loop(self):
         rng = np.random.default_rng(30)
-        p = init_ccp(rng, (3, 2), 4, 2, order=3)
+        spec = alone(init_ccp(rng, (3, 2), 4, 2, order=3))
         z1 = rng.uniform(-1, 1, (3, 5))
         z2 = rng.uniform(-1, 1, (2, 5))
-        batch = ccp_forward(p, [z1, z2])
+        batch = product_compose(spec, [z1, z2])
         for b in range(5):
             np.testing.assert_allclose(
-                batch[:, b], ccp_forward(p, [z1[:, b], z2[:, b]]), atol=1e-12
+                batch[:, b], product_compose(spec, [z1[:, b], z2[:, b]]), atol=1e-12
             )
 
     def test_arity_and_shape_errors(self):
-        p = ones_ccp(1)
+        spec = alone(ones_block("ccp", 1))
         with pytest.raises(ValueError, match="expects 2 input"):
-            ccp_forward(p, [[1.0]])
+            product_compose(spec, [[1.0]])
         with pytest.raises(ValueError, match="input 1 has shape"):
-            ccp_forward(p, [[1.0], [1.0, 2.0]])
+            product_compose(spec, [[1.0], [1.0, 2.0]])
         with pytest.raises(ValueError, match="batch size"):
-            ccp_forward(p, [np.ones((1, 2)), np.ones((1, 3))])
+            product_compose(spec, [np.ones((1, 2)), np.ones((1, 3))])
 
 
 class TestReductions:
@@ -111,33 +111,33 @@ class TestReductions:
         rng = np.random.default_rng(31)
         for _ in range(5):
             p = init_ccp(rng, (3, 2), 4, 2, order=3)
-            for n in range(3):
-                p.input_maps[n][1] = np.zeros_like(p.input_maps[n][1])
-            pinet = PiNetParams(
-                input_maps=[p.input_maps[n][0] for n in range(3)],
-                head=p.head,
-                head_bias=p.head_bias,
+            for n in range(1, 4):
+                p.params[f"in{n}.v1"] = np.zeros_like(p.params[f"in{n}.v1"])
+            single = ChainBlock(
+                "ccp",
+                {k: v for k, v in p.params.items() if not k.endswith(".v1")},
+                False,
+                (0,),
             )
             z = rng.uniform(-1, 1, 3)
             np.testing.assert_allclose(
-                ccp_forward(p, [z, np.zeros(2)]),
-                pinet_forward(pinet, z),
-                atol=1e-12,
+                run(p, [z, np.zeros(2)]), run(single, [z]), atol=1e-12
             )
 
     def test_three_variable_ccp_with_zero_third_collapses(self):
         rng = np.random.default_rng(32)
         p3 = init_ccp(rng, (3, 2, 2), 4, 2, order=3)
-        for n in range(3):
-            p3.input_maps[n][2] = np.zeros_like(p3.input_maps[n][2])
-        p2 = CcpParams(
-            input_maps=[row[:2] for row in p3.input_maps],
-            head=p3.head,
-            head_bias=p3.head_bias,
+        for n in range(1, 4):
+            p3.params[f"in{n}.v2"] = np.zeros_like(p3.params[f"in{n}.v2"])
+        p2 = ChainBlock(
+            "ccp",
+            {k: v for k, v in p3.params.items() if not k.endswith(".v2")},
+            False,
+            (0, 1),
         )
         z1, z2 = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 2)
         np.testing.assert_array_equal(
-            ccp_forward(p3, [z1, z2, np.zeros(2)]), ccp_forward(p2, [z1, z2])
+            run(p3, [z1, z2, np.zeros(2)]), run(p2, [z1, z2])
         )
 
     def test_gated_forward_in_spade_configuration(self):
@@ -147,9 +147,7 @@ class TestReductions:
             cfg = spade_config(p)
             zn, zc = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 2)
             np.testing.assert_allclose(
-                ncp_forward(cfg, [zn, zc]),
-                spade_forward(p, zn, zc),
-                atol=1e-12,
+                run(cfg, [zn, zc]), spade(p, zn, zc), atol=1e-12
             )
 
     def test_spade_degree_split(self):
@@ -157,10 +155,10 @@ class TestReductions:
         p = init_ncp(rng, (3, 3), 4, 2, order=3)
         base_n, base_c = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
         deg_noise = degree_probe(
-            lambda z: spade_forward(p, z, base_c), base_n, rng.uniform(-1, 1, 3), 5
+            lambda z: spade(p, z, base_c), base_n, rng.uniform(-1, 1, 3), 5
         )
         deg_cond = degree_probe(
-            lambda z: spade_forward(p, base_n, z), base_c, rng.uniform(-1, 1, 3), 5
+            lambda z: spade(p, base_n, z), base_c, rng.uniform(-1, 1, 3), 5
         )
         assert deg_noise == 1
         assert deg_cond == p.order - 1
@@ -168,30 +166,23 @@ class TestReductions:
 
 class TestSharing:
     def test_alias_required(self):
-        maps = [
-            [np.ones((2, 3)), np.ones((2, 3))],
-            [np.ones((2, 3)), np.ones((2, 3))],
-        ]
-        with pytest.raises(ValueError, match="aliased at order 2"):
-            CcpParams(maps, np.ones((1, 3)), np.zeros(1), share_conditional=True)
+        # a shared block keeps one conditional factor, read by every order
+        p = ones_block("ccp", 2, d=2, k=3)
+        with pytest.raises(ValueError, match=r"unexpected \['in2.v1'\]"):
+            alone(ChainBlock("ccp", p.params, False, (0, 1), share_conditional=True))
 
     def test_sharing_is_identity_when_factors_already_equal(self):
         rng = np.random.default_rng(35)
         free = init_ccp(rng, (3, 2), 4, 2, order=3)
-        cond = free.input_maps[0][1]
-        for n in range(1, 3):
-            free.input_maps[n][1] = cond.copy()
+        cond = free.params["in1.v1"]
+        for n in range(2, 4):
+            free.params[f"in{n}.v1"] = cond.copy()
         shared = init_ccp(rng, (3, 2), 4, 2, order=3, share_conditional=True)
-        for n in range(3):
-            shared.input_maps[n][0] = free.input_maps[n][0]
-        shared.input_maps[0][1] = cond
-        for n in range(1, 3):
-            shared.input_maps[n][1] = cond
-        shared.head, shared.head_bias = free.head, free.head_bias
+        assert shared.params.keys() == free.params.keys() - {"in2.v1", "in3.v1"}
+        for name in shared.params:
+            shared.params[name] = free.params[name]
         z1, z2 = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 2)
-        np.testing.assert_array_equal(
-            ccp_forward(shared, [z1, z2]), ccp_forward(free, [z1, z2])
-        )
+        np.testing.assert_array_equal(run(shared, [z1, z2]), run(free, [z1, z2]))
 
     def test_shared_factor_listed_once(self):
         rng = np.random.default_rng(36)
@@ -201,6 +192,37 @@ class TestSharing:
         assert "in2.v1" not in names and "in3.v1" not in names
         # unshared noise factors are all present
         assert {"in1.v0", "in2.v0", "in3.v0"} <= set(names)
+
+    def test_sharing_needs_a_second_variable(self):
+        p = ones_block("ccp", 1, n_vars=1)
+        with pytest.raises(ValueError, match="share_conditional needs a second"):
+            alone(ChainBlock("ccp", p.params, False, (0,), share_conditional=True))
+
+
+def _drop(params, *names):
+    return {k: v for k, v in params.items() if k not in names}
+
+
+class TestBlockValidation:
+    @pytest.mark.parametrize(
+        "kind,edit,match",
+        [
+            ("spam", lambda p: p, "unknown block kind 'spam'"),
+            ("ncp", lambda p: _drop(p, "state2"), r"missing parameter\(s\) \['state2'\]"),
+            ("ccp", lambda p: p, r"unexpected \['state2', 'off1'"),
+            ("ncp", lambda p: {**p, "bogus": np.ones(1)}, r"unexpected \['bogus'\]"),
+            ("ncp", lambda p: {**p, "head": np.ones(3)}, "'head' has shape .*2 dim"),
+            ("ncp", lambda p: {**p, "in2.v0": np.ones((3, 5))}, r"\(3, 5\), expected \(3, 4"),
+            ("ncp", lambda p: {**p, "head_bias": np.ones(3)}, r"\(3,\), expected \(2,\)"),
+            ("ncp", lambda p: {**p, "seed2": np.ones(5)}, r"\(5,\), expected \(4,\)"),
+            ("ncp", lambda p: _drop(p, "in1.v0", "in2.v0"), "needs at least one order"),
+        ],
+    )
+    def test_rejects_names_or_shapes_that_do_not_fit(self, kind, edit, match):
+        p = init_ncp(np.random.default_rng(44), (3, 2), 4, 2, order=2)
+        blk = ChainBlock(kind, edit(dict(p.params)), False, (0, 1))
+        with pytest.raises(ValueError, match=f"^block 0.*{match}"):
+            ModelSpec((3, 2), [blk])
 
 
 class TestChains:
@@ -246,11 +268,9 @@ class TestChains:
         )
         z1 = rng.uniform(-1, 1, (2, 8))
         z2 = rng.uniform(-1, 1, (2, 8))
-        from cope.models import ccp_forward_cols
-
-        mid = ccp_forward_cols(spec.blocks[0].params, [z1, z2])
+        mid = ccp_forward_cols(spec.blocks[0], [z1, z2])
         mid = mid - mid.mean(axis=1, keepdims=True)
-        expected = ccp_forward_cols(spec.blocks[1].params, [mid, z2])
+        expected = ccp_forward_cols(spec.blocks[1], [mid, z2])
         np.testing.assert_allclose(
             product_compose(spec, [z1, z2]), expected, atol=1e-12
         )
@@ -265,12 +285,22 @@ class TestChains:
                     ChainBlock("ccp", good.blocks[1].params, True, (1,)),
                 ],
             )
-        with pytest.raises(ValueError, match="block 1 input dims"):
+        with pytest.raises(ValueError, match=r"block 1: .*unexpected \['in1.v1'"):
             ModelSpec(
                 var_dims=(3, 2),
                 blocks=[
                     good.blocks[0],
                     ChainBlock("ccp", good.blocks[0].params, True, ()),
+                ],
+            )
+        with pytest.raises(
+            ValueError, match=r"block 1: parameter 'in1.v1' has shape \(2, 4\), "
+        ):
+            ModelSpec(
+                var_dims=(3, 2),
+                blocks=[
+                    good.blocks[0],
+                    ChainBlock("ccp", good.blocks[1].params, True, (0,)),
                 ],
             )
 
@@ -299,9 +329,10 @@ class TestParameterWalk:
         )
         tape = Tape()
         lifted = lift_model(tape, spec)
-        assert lifted.blocks[0].params.input_maps[1][1] is (
-            lifted.blocks[0].params.input_maps[0][1]
-        )
+        for blk, orig in zip(lifted.blocks, spec.blocks):
+            assert blk.share_conditional and "in2.v1" not in blk.params
+            assert list(blk.params) == list(orig.params)
+            assert all(isinstance(v, Var) for v in blk.params.values())
         z1, z2 = rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (2, 4))
         np.testing.assert_array_equal(
             product_compose(lifted, [z1, z2]).value,
@@ -313,3 +344,24 @@ class TestParameterWalk:
         spec = init_chain(rng, (3, 2), (2, 2), rank=4, hidden_dim=3, out_dim=2)
         names = set(model_parameters(spec))
         assert "b0.in1.v0" in names and "b1.head" in names
+
+    def test_plain_dict_walk(self):
+        disc = init_discriminator(np.random.default_rng(45), 3, 4)
+        assert list(model_parameters(disc)) == list(disc)
+        lifted = lift_model(Tape(), disc)
+        assert list(lifted) == list(disc)
+        assert all(isinstance(v, Var) for v in lifted.values())
+        values = {k: v * 2.0 for k, v in disc.items()}
+        assert with_parameters(disc, values) == values
+
+    def test_with_parameters_swaps_values_not_structure(self):
+        rng = np.random.default_rng(46)
+        spec = init_chain(rng, (3, 2), (2, 2), rank=4, hidden_dim=3, out_dim=2)
+        values = {k: np.zeros_like(v) for k, v in model_parameters(spec).items()}
+        swapped = with_parameters(spec, values)
+        assert [b.params.keys() for b in swapped.blocks] == [
+            b.params.keys() for b in spec.blocks
+        ]
+        z = [np.ones(3), np.ones(2)]
+        np.testing.assert_array_equal(product_compose(swapped, z), np.zeros(2))
+        assert np.any(product_compose(spec, z) != 0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cope.models import CcpParams, ccp_forward, init_ccp
+from cope.models import ChainBlock, ModelSpec, init_ccp, product_compose
 from cope.oracle import (
     OracleParams,
     SecondOrderWeights,
@@ -184,10 +184,12 @@ class TestScalarSecondOrder:
 
 class TestCoupledTensorBuild:
     def test_all_ones_cross_tensor_is_two(self):
-        p = CcpParams(
-            input_maps=[[np.ones((1, 1)), np.ones((1, 1))] for _ in range(2)],
-            head=np.ones((1, 1)),
-            head_bias=np.zeros(1),
+        names = ("in1.v0", "in1.v1", "in2.v0", "in2.v1", "head")
+        p = ChainBlock(
+            "ccp",
+            {**{n: np.ones((1, 1)) for n in names}, "head_bias": np.zeros(1)},
+            False,
+            (0, 1),
         )
         oracle = build_order2_coupled_tensors(p)
         assert oracle.tensors[(2, 2)][0, 0, 0] == pytest.approx(2.0)
@@ -195,15 +197,19 @@ class TestCoupledTensorBuild:
 
     def test_matches_recursion_on_random_draws(self):
         rng = np.random.default_rng(24)
-        for _ in range(25):
+        for i in range(25):
             d1, d2, k, o = rng.integers(1, 6, size=4)
-            p = init_ccp(rng, (int(d1), int(d2)), int(k), int(o), order=2)
+            share = i % 2 == 1
+            p = init_ccp(
+                rng, (int(d1), int(d2)), int(k), int(o), order=2, share_conditional=share
+            )
             oracle = build_order2_coupled_tensors(p)
+            spec = ModelSpec((int(d1), int(d2)), [p])
             for _ in range(5):
                 z1, z2 = rng.uniform(-1, 1, int(d1)), rng.uniform(-1, 1, int(d2))
                 np.testing.assert_allclose(
                     eval_explicit(oracle, [z1, z2]),
-                    ccp_forward(p, [z1, z2]),
+                    product_compose(spec, [z1, z2]),
                     atol=1e-9,
                 )
 
