@@ -4,6 +4,7 @@ joint input ray and along each per-variable ray. Thin wrapper over the CLI."""
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 
@@ -24,7 +25,10 @@ def main():
     argv = ["degree-report", "--config", cfg, "--seed", str(args.seed)]
     if args.out:
         argv += ["--out", args.out]
-    return cli_main(argv)
+    try:
+        return cli_main(argv)
+    finally:
+        os.remove(cfg)
 
 
 if __name__ == "__main__":

@@ -91,6 +91,7 @@ _POSITIVE_INTS = (
     "steps",
     "eval_samples",
     "disc_hidden",
+    "probe_max_order",
 )
 
 _POSITIVE_FLOATS = ("cluster_radius", "cluster_std", "lr", "eps")
@@ -112,6 +113,14 @@ def _coerce(name: str, value):
     return value
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     for name, allowed in _ENUMS.items():
         v = getattr(cfg, name)
@@ -121,26 +130,23 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
             )
     for name in _POSITIVE_INTS:
         v = getattr(cfg, name)
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+        if not _is_int(v) or v < 1:
             raise ConfigError(f"field '{name}' must be a positive integer, got {v!r}")
     for name in _POSITIVE_FLOATS:
         v = getattr(cfg, name)
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
+        if not _is_real(v) or v <= 0:
             raise ConfigError(f"field '{name}' must be positive, got {v!r}")
-    if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool) or not (
-        0 <= cfg.seed < 2**64
-    ):
+    if not _is_int(cfg.seed) or not 0 <= cfg.seed < 2**64:
         raise ConfigError(f"field 'seed' must be an integer in [0, 2**64), got {cfg.seed!r}")
     if not cfg.block_orders or any(
-        not isinstance(n, int) or isinstance(n, bool) or n < 1
-        for n in cfg.block_orders
+        not _is_int(n) or n < 1 for n in cfg.block_orders
     ):
         raise ConfigError(
             f"field 'block_orders' must be positive integers, got {cfg.block_orders!r}"
         )
     for name in ("beta1", "beta2"):
         v = getattr(cfg, name)
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 <= v < 1:
+        if not _is_real(v) or not 0 <= v < 1:
             raise ConfigError(f"field '{name}' must be in [0, 1), got {v!r}")
     if cfg.task == "poly-regression":
         # the target is materialized by the brute-force oracle
@@ -160,15 +166,11 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
             f"field 'signal_length' ({cfg.signal_length}) must be divisible by "
             f"'downsample_factor' ({cfg.downsample_factor})"
         )
-    if cfg.stop_mse is not None and (
-        not isinstance(cfg.stop_mse, (int, float)) or cfg.stop_mse <= 0
-    ):
+    if cfg.stop_mse is not None and (not _is_real(cfg.stop_mse) or cfg.stop_mse <= 0):
         raise ConfigError(f"field 'stop_mse' must be positive or null, got {cfg.stop_mse!r}")
-    if cfg.sweep_points < 2:
-        raise ConfigError(f"field 'sweep_points' must be at least 2, got {cfg.sweep_points!r}")
-    if cfg.probe_max_order < 1:
+    if not _is_int(cfg.sweep_points) or cfg.sweep_points < 2:
         raise ConfigError(
-            f"field 'probe_max_order' must be a positive integer, got {cfg.probe_max_order!r}"
+            f"field 'sweep_points' must be an integer of at least 2, got {cfg.sweep_points!r}"
         )
     if any(not isinstance(s, str) for s in cfg.suites):
         raise ConfigError(f"field 'suites' must be suite names, got {cfg.suites!r}")

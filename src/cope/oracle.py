@@ -8,12 +8,13 @@ grows as out_dim * d^order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .models import ChainBlock
-from .tensors import khatri_rao, mode_m_fold, mode_m_vec_product
+from .tensors import khatri_rao_chain, mode_m_fold
 
 MAX_DIM = 8
 MAX_ORDER = 4
@@ -37,27 +38,31 @@ def expansion_term_keys(order: int, n_variables: int):
     return keys
 
 
-def _term_shape(key, input_dims, output_dim):
-    if len(key) == 2:
-        n, rho = key
-        per_mode = (rho - 1) * (input_dims[0],) + (n + 1 - rho) * (input_dims[1],)
-    else:
-        n, rho, delta = key
-        per_mode = (
-            (rho - 1) * (input_dims[0],)
-            + (delta - rho) * (input_dims[1],)
-            + (n + 1 - delta) * (input_dims[2],)
-        )
-    return (output_dim,) + per_mode
+def mode_variables(key):
+    """Input variable contracted by each of modes 2..n+1 of term `key`.
+
+    The key's entries after n bound the variables' runs of modes, so the
+    count of variable j's modes is the gap between consecutive bounds.
+    """
+    bounds = key[1:] + (key[0] + 1,)
+    out = ()
+    lo = 1
+    for phi, hi in enumerate(bounds):
+        out += (phi,) * (hi - lo)
+        lo = hi
+    return out
 
 
-def _variable_for_mode(key, mode):
-    if len(key) == 2:
-        return 0 if mode <= key[1] else 1
-    _, rho, delta = key
-    if mode <= rho:
-        return 0
-    return 1 if mode <= delta else 2
+def _check_limits(n_variables, order, dims, ranks=()):
+    """Reject sizes whose dense tensors the oracle does not materialize."""
+    if n_variables not in (2, 3):
+        raise ValueError(f"expected 2 or 3 input variables, got {n_variables}")
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"order {order} outside the supported range [1, {MAX_ORDER}]")
+    named = [("dimension", d) for d in dims] + [("rank", r) for r in ranks]
+    for what, d in named:
+        if not 1 <= d <= MAX_DIM:
+            raise ValueError(f"{what} {d} outside the supported range [1, {MAX_DIM}]")
 
 
 @dataclass
@@ -72,19 +77,9 @@ class OracleParams:
 
     def __post_init__(self):
         self.input_dims = tuple(int(d) for d in self.input_dims)
-        if len(self.input_dims) not in (2, 3):
-            raise ValueError(
-                f"expected 2 or 3 input variables, got {len(self.input_dims)}"
-            )
-        if not 1 <= self.order <= MAX_ORDER:
-            raise ValueError(
-                f"order {self.order} outside the supported range [1, {MAX_ORDER}]"
-            )
-        for d in self.input_dims + (self.output_dim,):
-            if not 1 <= d <= MAX_DIM:
-                raise ValueError(
-                    f"dimension {d} outside the supported range [1, {MAX_DIM}]"
-                )
+        _check_limits(
+            len(self.input_dims), self.order, self.input_dims + (self.output_dim,)
+        )
         expected = set(expansion_term_keys(self.order, len(self.input_dims)))
         got = set(self.tensors)
         if got != expected:
@@ -94,7 +89,9 @@ class OracleParams:
             )
         for key in sorted(self.tensors):
             self.tensors[key] = np.asarray(self.tensors[key], dtype=np.float64)
-            want = _term_shape(key, self.input_dims, self.output_dim)
+            want = (self.output_dim,) + tuple(
+                self.input_dims[phi] for phi in mode_variables(key)
+            )
             if self.tensors[key].shape != want:
                 raise ValueError(
                     f"tensor {key} has shape {self.tensors[key].shape}, expected {want}"
@@ -123,112 +120,48 @@ def eval_explicit(params: OracleParams, inputs) -> np.ndarray:
     out = params.bias.copy()
     for key in sorted(params.tensors):
         term = params.tensors[key]
-        n = key[0]
-        for mode in range(n + 1, 1, -1):
-            term = mode_m_vec_product(term, mode, inputs[_variable_for_mode(key, mode)])
+        # contract the last mode each time, as np.tensordot does it
+        for phi in reversed(mode_variables(key)):
+            z = inputs[phi]
+            term = np.dot(term.reshape(-1, z.shape[0]), z.reshape(-1, 1)).reshape(
+                term.shape[:-1]
+            )
         out = out + term
     return out
 
 
-@dataclass
-class SecondOrderWeights:
-    """Raw coefficients of a scalar two-variable expansion up to degree 2.
+def build_coupled_tensors(blk: ChainBlock) -> OracleParams:
+    """Fold a ccp block over two or three variables into its full tensors.
 
-    The single cross matrix pairs z_noise on its rows with z_cond on its
-    columns; there is no separate transposed cross term.
+    Expands y_N = m_1 * prod_{n>=2} (1 + m_n), m_n = sum_phi U_n,phi^T z_phi:
+    level 1 joined with each subset of levels 2..N, under each assignment
+    of a variable to every level, is one rank-wise product. Its (variable,
+    level) pairs, sorted, are the term's modes 2.. in order; the Khatri-Rao
+    chain runs over them in reverse so that mode 2 varies fastest, as in
+    the mode-1 unfolding.
     """
-
-    lin_noise: np.ndarray
-    lin_cond: np.ndarray
-    quad_noise: np.ndarray
-    quad_cond: np.ndarray
-    quad_cross: np.ndarray
-    offset: float = 0.0
-
-    def __post_init__(self):
-        self.lin_noise = np.asarray(self.lin_noise, dtype=np.float64)
-        self.lin_cond = np.asarray(self.lin_cond, dtype=np.float64)
-        self.quad_noise = np.asarray(self.quad_noise, dtype=np.float64)
-        self.quad_cond = np.asarray(self.quad_cond, dtype=np.float64)
-        self.quad_cross = np.asarray(self.quad_cross, dtype=np.float64)
-        d = self.lin_noise.shape[0]
-        shapes = {
-            "lin_cond": (self.lin_cond.shape, (d,)),
-            "quad_noise": (self.quad_noise.shape, (d, d)),
-            "quad_cond": (self.quad_cond.shape, (d, d)),
-            "quad_cross": (self.quad_cross.shape, (d, d)),
-        }
-        for name, (got, want) in shapes.items():
-            if got != want:
-                raise ValueError(f"{name} has shape {got}, expected {want}")
-
-
-def eval_scalar_second_order(w: SecondOrderWeights, z_noise, z_cond) -> float:
-    """Direct double-loop-equivalent evaluation of the scalar coefficients."""
-    z_noise = np.asarray(z_noise, dtype=np.float64)
-    z_cond = np.asarray(z_cond, dtype=np.float64)
-    d = w.lin_noise.shape[0]
-    if z_noise.shape != (d,) or z_cond.shape != (d,):
-        raise ValueError(
-            f"inputs must both have shape ({d},), got {z_noise.shape} and {z_cond.shape}"
-        )
-    return float(
-        w.offset
-        + w.lin_cond @ z_cond
-        + w.lin_noise @ z_noise
-        + z_cond @ w.quad_cond @ z_cond
-        + z_noise @ w.quad_noise @ z_noise
-        + z_noise @ w.quad_cross @ z_cond
-    )
-
-
-def second_order_oracle(w: SecondOrderWeights) -> OracleParams:
-    """Single-output tensor form of the scalar coefficient set."""
-    d = w.lin_noise.shape[0]
+    if blk.kind != "ccp":
+        raise ValueError(f"expected a ccp block, got kind '{blk.kind}'")
+    n_vars, order, dims = blk.n_variables, blk.order, blk.input_dims
+    _check_limits(n_vars, order, dims + (blk.out_dim,), ranks=(blk.rank,))
+    chains = {}
+    for size in range(order):
+        for extra in itertools.combinations(range(2, order + 1), size):
+            levels = (1,) + extra
+            for phis in itertools.product(range(n_vars), repeat=len(levels)):
+                pairs = sorted(zip(phis, levels))
+                key = (len(levels),) + tuple(
+                    1 + sum(phi <= j for phi in phis) for j in range(n_vars - 1)
+                )
+                kr = khatri_rao_chain(blk.factor(n, phi) for phi, n in reversed(pairs))
+                chains[key] = chains[key] + kr if key in chains else kr
+    c, o = blk.params["head"], blk.out_dim
+    tensors = {}
+    for key, kr in chains.items():
+        shape = (o,) + tuple(dims[phi] for phi in mode_variables(key))
+        tensors[key] = mode_m_fold(c @ kr.T, 1, shape)
     return OracleParams(
-        order=2,
-        input_dims=(d, d),
-        output_dim=1,
-        tensors={
-            (1, 1): w.lin_cond[None, :],
-            (1, 2): w.lin_noise[None, :],
-            (2, 1): w.quad_cond[None, :, :],
-            (2, 2): w.quad_cross[None, :, :],
-            (2, 3): w.quad_noise[None, :, :],
-        },
-        bias=np.array([w.offset]),
-    )
-
-
-def build_order2_coupled_tensors(p: ChainBlock) -> OracleParams:
-    """Fold an order-2 two-variable ccp block into its full tensors.
-
-    The cross tensor is the sum of both mixed products; evaluated against
-    (z_noise, z_cond) it contributes
-    C [(U2_I^T z_noise) * (U1_II^T z_cond) + (U1_I^T z_noise) * (U2_II^T z_cond)].
-    """
-    if p.kind != "ccp" or p.order != 2 or p.n_variables != 2:
-        raise ValueError("expected a two-variable ccp block of order 2")
-    if p.rank > MAX_DIM:
-        raise ValueError(f"rank {p.rank} outside the supported range [1, {MAX_DIM}]")
-    u1_n, u1_c = p.factor(1, 0), p.factor(1, 1)
-    u2_n, u2_c = p.factor(2, 0), p.factor(2, 1)
-    c = p.params["head"]
-    d_n, d_c = p.input_dims
-    o = p.out_dim
-    cross = c @ (khatri_rao(u1_c, u2_n) + khatri_rao(u2_c, u1_n)).T
-    return OracleParams(
-        order=2,
-        input_dims=(d_n, d_c),
-        output_dim=o,
-        tensors={
-            (1, 1): c @ u1_c.T,
-            (1, 2): c @ u1_n.T,
-            (2, 1): mode_m_fold(c @ khatri_rao(u2_c, u1_c).T, 1, (o, d_c, d_c)),
-            (2, 2): mode_m_fold(cross, 1, (o, d_n, d_c)),
-            (2, 3): mode_m_fold(c @ khatri_rao(u2_n, u1_n).T, 1, (o, d_n, d_n)),
-        },
-        bias=np.array(p.params["head_bias"], dtype=np.float64),
+        order, dims, o, tensors, np.array(blk.params["head_bias"], dtype=np.float64)
     )
 
 

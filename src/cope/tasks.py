@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import OracleParams, eval_explicit, expansion_term_keys
+from .oracle import OracleParams, eval_explicit, expansion_term_keys, mode_variables
 
 
 @dataclass
@@ -88,14 +88,14 @@ def make_poly_regression(
     out_dim: int,
     n_samples: int,
 ) -> PolyRegression:
+    input_dims = (in_dim, in_dim)
     tensors = {}
     for key in expansion_term_keys(degree, 2):
-        n, rho = key
-        shape = (out_dim,) + (rho - 1) * (in_dim,) + (n + 1 - rho) * (in_dim,)
+        shape = (out_dim,) + tuple(input_dims[phi] for phi in mode_variables(key))
         tensors[key] = rng.uniform(-1.0, 1.0, size=shape)
     params = OracleParams(
         order=degree,
-        input_dims=(in_dim, in_dim),
+        input_dims=input_dims,
         output_dim=out_dim,
         tensors=tensors,
         bias=rng.uniform(-1.0, 1.0, size=out_dim),
@@ -114,7 +114,7 @@ def make_poly_regression(
     scale = scale if scale > 1e-8 else 1.0
     scaled = OracleParams(
         order=degree,
-        input_dims=(in_dim, in_dim),
+        input_dims=input_dims,
         output_dim=out_dim,
         tensors={k: v / scale for k, v in params.tensors.items()},
         bias=params.bias / scale - raw.mean(axis=1) / scale,

@@ -43,24 +43,6 @@ def mode_m_fold(mat, m: int, shape) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(folded, 0, m - 1))
 
 
-def mode_m_vec_product(t, m: int, u) -> np.ndarray:
-    """Contract mode `m` of `t` with the vector `u`; the order drops by one.
-
-    vec of the result in the unfolding column layout equals
-    mode_m_unfold(t, m).T @ u.
-    """
-    t = _as_tensor(t)
-    u = np.asarray(u, dtype=np.float64)
-    _check_mode(m, t.ndim)
-    if u.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {u.shape}")
-    if t.shape[m - 1] != u.shape[0]:
-        raise ValueError(
-            f"mode-{m} size {t.shape[m - 1]} does not match vector length {u.shape[0]}"
-        )
-    return np.tensordot(t, u, axes=([m - 1], [0]))
-
-
 def khatri_rao(a, b) -> np.ndarray:
     """Column-wise Kronecker product; row (i, j) flattens with i slowest."""
     a = np.asarray(a, dtype=np.float64)

@@ -70,6 +70,14 @@ def test_tape_gradients_match_finite_differences(capsys):
     _suite_check(capsys, "gradients", run_gradients(seed=SEED), 30.0)
 
 
+@pytest.mark.parametrize("seed", [11, 67])
+def test_gradients_pass_where_a_small_step_read_rounding_noise(seed):
+    # with h = 1e-5 for every case, the additive block read 1.45e-5 (seed 11)
+    # and 1.11e-5 (seed 67) against the 1e-5 tolerance
+    result = run_gradients(seed=seed)
+    assert result.passed, result.max_deviation
+
+
 # -- training-based criteria ------------------------------------------------
 
 CCP_RANK = 16

@@ -50,6 +50,11 @@ def test_invalid_field_exits_2(tmp_path, capsys):
         ({"target_degree": 5}, "target_degree"),
         ({"input_dim": 9}, "input_dim"),
         ({"task": "downsample-1d", "signal_length": 30}, "signal_length"),
+        ({"sweep_points": "9"}, "sweep_points"),
+        ({"sweep_points": 2.5}, "sweep_points"),
+        ({"probe_max_order": "8"}, "probe_max_order"),
+        ({"probe_max_order": 2.5}, "probe_max_order"),
+        ({"stop_mse": True}, "stop_mse"),
     ],
 )
 def test_out_of_range_config_exits_2_and_writes_nothing(tmp_path, capsys, values, field):

@@ -1,38 +1,26 @@
 import numpy as np
 import pytest
 
-from cope.models import ChainBlock, ModelSpec, init_ccp, product_compose
+from cope.models import ChainBlock, ModelSpec, init_ccp, init_ncp, product_compose
 from cope.oracle import (
     OracleParams,
-    SecondOrderWeights,
-    build_order2_coupled_tensors,
+    build_coupled_tensors,
     degree_probe,
     eval_explicit,
-    eval_scalar_second_order,
     expansion_term_keys,
-    second_order_oracle,
+    mode_variables,
 )
 
 
+def term_shape(key, input_dims, output_dim):
+    return (output_dim,) + tuple(input_dims[phi] for phi in mode_variables(key))
+
+
 def ones_oracle(order, input_dims, output_dim=1, n_vars=2):
-    keys = expansion_term_keys(order, n_vars)
-    tensors = {}
-    for key in keys:
-        n = key[0]
-        if n_vars == 2:
-            _, rho = key
-            shape = (output_dim,) + (rho - 1) * (input_dims[0],) + (n + 1 - rho) * (
-                input_dims[1],
-            )
-        else:
-            _, rho, delta = key
-            shape = (
-                (output_dim,)
-                + (rho - 1) * (input_dims[0],)
-                + (delta - rho) * (input_dims[1],)
-                + (n + 1 - delta) * (input_dims[2],)
-            )
-        tensors[key] = np.ones(shape)
+    tensors = {
+        key: np.ones(term_shape(key, input_dims, output_dim))
+        for key in expansion_term_keys(order, n_vars)
+    }
     return OracleParams(
         order=order,
         input_dims=input_dims,
@@ -40,6 +28,14 @@ def ones_oracle(order, input_dims, output_dim=1, n_vars=2):
         tensors=tensors,
         bias=np.zeros(output_dim),
     )
+
+
+def ones_ccp(order, n_vars):
+    """Scalar ccp block whose every factor, head included, is 1."""
+    names = [f"in{n}.v{phi}" for n in range(1, order + 1) for phi in range(n_vars)]
+    params = {name: np.ones((1, 1)) for name in names + ["head"]}
+    params["head_bias"] = np.zeros(1)
+    return ChainBlock("ccp", params, False, tuple(range(n_vars)))
 
 
 class TestEvalExplicit:
@@ -74,12 +70,7 @@ class TestEvalExplicit:
         tensors2 = {}
         for key in expansion_term_keys(order, 3):
             n, rho, delta = key
-            shape = (
-                (o,)
-                + (rho - 1) * (d1,)
-                + (delta - rho) * (d2,)
-                + (n + 1 - delta) * (d3,)
-            )
+            shape = term_shape(key, (d1, d2, d3), o)
             if delta == n + 1:
                 t = rng.standard_normal(shape)
                 tensors3[key] = t
@@ -152,72 +143,93 @@ class TestOracleParamsValidation:
 
 
 class TestScalarSecondOrder:
-    def test_all_ones_value(self):
-        d = 1
-        w = SecondOrderWeights(
-            lin_noise=np.ones(d),
-            lin_cond=np.ones(d),
-            quad_noise=np.ones((d, d)),
-            quad_cond=np.ones((d, d)),
-            quad_cross=np.ones((d, d)),
-        )
-        assert eval_scalar_second_order(w, [2.0], [3.0]) == pytest.approx(24.0)
-
     def test_matches_tensor_form(self):
+        # (1, 1) and (2, 1) contract the second variable only, (2, 3) the
+        # first only, and the cross matrix (2, 2) has the first on its rows.
         rng = np.random.default_rng(23)
         d = 4
-        w = SecondOrderWeights(
-            lin_noise=rng.standard_normal(d),
-            lin_cond=rng.standard_normal(d),
-            quad_noise=rng.standard_normal((d, d)),
-            quad_cond=rng.standard_normal((d, d)),
-            quad_cross=rng.standard_normal((d, d)),
-            offset=float(rng.standard_normal()),
+        lin_a, lin_b = rng.standard_normal(d), rng.standard_normal(d)
+        quad_a, quad_b, cross = (rng.standard_normal((d, d)) for _ in range(3))
+        offset = float(rng.standard_normal())
+        params = OracleParams(
+            order=2,
+            input_dims=(d, d),
+            output_dim=1,
+            tensors={
+                (1, 1): lin_b[None, :],
+                (1, 2): lin_a[None, :],
+                (2, 1): quad_b[None, :, :],
+                (2, 2): cross[None, :, :],
+                (2, 3): quad_a[None, :, :],
+            },
+            bias=np.array([offset]),
         )
-        oracle = second_order_oracle(w)
         for _ in range(10):
-            zn, zc = rng.uniform(-1, 1, d), rng.uniform(-1, 1, d)
-            direct = eval_scalar_second_order(w, zn, zc)
-            tensorized = eval_explicit(oracle, [zn, zc])
-            np.testing.assert_allclose(tensorized, [direct], atol=1e-12)
+            z_a, z_b = rng.uniform(-1, 1, d), rng.uniform(-1, 1, d)
+            direct = (
+                offset
+                + lin_a @ z_a
+                + lin_b @ z_b
+                + z_a @ quad_a @ z_a
+                + z_b @ quad_b @ z_b
+                + z_a @ cross @ z_b
+            )
+            np.testing.assert_allclose(
+                eval_explicit(params, [z_a, z_b]), [direct], atol=1e-12
+            )
+
+
+class TestModeVariables:
+    def test_runs_of_modes_per_variable(self):
+        assert mode_variables((1, 1)) == (1,)
+        assert mode_variables((1, 2)) == (0,)
+        assert mode_variables((3, 2)) == (0, 1, 1)
+        assert mode_variables((4, 2, 4)) == (0, 1, 1, 2)
+        assert mode_variables((2, 3, 3)) == (0, 0)
+        assert mode_variables((2, 1, 1)) == (2, 2)
 
 
 class TestCoupledTensorBuild:
     def test_all_ones_cross_tensor_is_two(self):
-        names = ("in1.v0", "in1.v1", "in2.v0", "in2.v1", "head")
-        p = ChainBlock(
-            "ccp",
-            {**{n: np.ones((1, 1)) for n in names}, "head_bias": np.zeros(1)},
-            False,
-            (0, 1),
-        )
-        oracle = build_order2_coupled_tensors(p)
+        oracle = build_coupled_tensors(ones_ccp(2, 2))
         assert oracle.tensors[(2, 2)][0, 0, 0] == pytest.approx(2.0)
         assert eval_explicit(oracle, [[2.0], [3.0]]) == pytest.approx(30.0)
 
+    def test_all_ones_order3_closed_form(self):
+        # m = 2 + 3 at every level: 5 * (1 + 5) * (1 + 5)
+        oracle = build_coupled_tensors(ones_ccp(3, 2))
+        assert eval_explicit(oracle, [[2.0], [3.0]]) == pytest.approx(180.0)
+
     def test_matches_recursion_on_random_draws(self):
         rng = np.random.default_rng(24)
-        for i in range(25):
-            d1, d2, k, o = rng.integers(1, 6, size=4)
-            share = i % 2 == 1
-            p = init_ccp(
-                rng, (int(d1), int(d2)), int(k), int(o), order=2, share_conditional=share
-            )
-            oracle = build_order2_coupled_tensors(p)
-            spec = ModelSpec((int(d1), int(d2)), [p])
-            for _ in range(5):
-                z1, z2 = rng.uniform(-1, 1, int(d1)), rng.uniform(-1, 1, int(d2))
+        for i in range(48):
+            order, n_vars = 1 + i % 4, 2 + (i // 4) % 2
+            dims = tuple(int(d) for d in rng.integers(1, 5, size=n_vars))
+            k, o = (int(v) for v in rng.integers(1, 5, size=2))
+            share = (i // 8) % 2 == 1
+            p = init_ccp(rng, dims, k, o, order, share_conditional=share)
+            p.params["head_bias"] = rng.uniform(-1, 1, o)
+            oracle = build_coupled_tensors(p)
+            spec = ModelSpec(dims, [p])
+            for _ in range(3):
+                zs = [rng.uniform(-1, 1, d) for d in dims]
                 np.testing.assert_allclose(
-                    eval_explicit(oracle, [z1, z2]),
-                    product_compose(spec, [z1, z2]),
-                    atol=1e-9,
+                    eval_explicit(oracle, zs), product_compose(spec, zs), atol=1e-9
                 )
 
     def test_rejects_higher_order(self):
         rng = np.random.default_rng(25)
-        p = init_ccp(rng, (2, 2), 3, 1, order=3)
-        with pytest.raises(ValueError, match="order 2"):
-            build_order2_coupled_tensors(p)
+        with pytest.raises(ValueError, match="order 5 outside"):
+            build_coupled_tensors(init_ccp(rng, (2, 2), 3, 1, order=5))
+
+    def test_rejects_other_kinds_arities_and_ranks(self):
+        rng = np.random.default_rng(26)
+        with pytest.raises(ValueError, match="expected a ccp block"):
+            build_coupled_tensors(init_ncp(rng, (2, 2), 3, 1, order=2))
+        with pytest.raises(ValueError, match="expected 2 or 3 input variables, got 1"):
+            build_coupled_tensors(init_ccp(rng, (2,), 3, 1, order=2))
+        with pytest.raises(ValueError, match="rank 9 outside"):
+            build_coupled_tensors(init_ccp(rng, (2, 2), 9, 1, order=2))
 
 
 class TestDegreeProbe:

@@ -11,7 +11,6 @@ from cope.tensors import (
     khatri_rao_chain,
     mode_m_fold,
     mode_m_unfold,
-    mode_m_vec_product,
 )
 
 
@@ -64,55 +63,6 @@ class TestUnfold:
             mode_m_unfold(t, 4)
         with pytest.raises(ValueError, match="mode 0"):
             mode_m_unfold(t, 0)
-
-
-class TestModeVecProduct:
-    def test_identity_matrix(self):
-        out = mode_m_vec_product(np.eye(2), 2, [3.0, 4.0])
-        np.testing.assert_array_equal(out, [3.0, 4.0])
-
-    def test_all_ones_cube(self):
-        t = np.ones((2, 2, 2))
-        out = mode_m_vec_product(t, 2, [1.0, 2.0])
-        np.testing.assert_array_equal(out, np.full((2, 2), 3.0))
-
-    def test_brute_force_triple_loop(self):
-        rng = np.random.default_rng(9)
-        t = rng.standard_normal((3, 4, 2))
-        u = rng.standard_normal(4)
-        ref = np.zeros((3, 2))
-        for i in range(3):
-            for j in range(4):
-                for k in range(2):
-                    ref[i, k] += t[i, j, k] * u[j]
-        np.testing.assert_allclose(mode_m_vec_product(t, 2, u), ref, atol=1e-12)
-
-    def test_vec_matches_unfolding_row_action(self):
-        # vec in Fortran order over the remaining modes equals u^T X_(m).
-        rng = np.random.default_rng(10)
-        t = rng.standard_normal((2, 3, 4))
-        for m in range(1, 4):
-            u = rng.standard_normal(t.shape[m - 1])
-            lhs = mode_m_vec_product(t, m, u).ravel(order="F")
-            rhs = u @ mode_m_unfold(t, m)
-            np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError, match="mode-2 size 3 .* length 2"):
-            mode_m_vec_product(np.zeros((2, 3)), 2, np.zeros(2))
-
-    @given(st.integers(1, 3), st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_linear_in_the_vector(self, m, seed):
-        rng = np.random.default_rng(seed)
-        t = rng.standard_normal((3, 2, 4))
-        u, v = rng.standard_normal(t.shape[m - 1]), rng.standard_normal(t.shape[m - 1])
-        a, b = rng.standard_normal(2)
-        np.testing.assert_allclose(
-            mode_m_vec_product(t, m, a * u + b * v),
-            a * mode_m_vec_product(t, m, u) + b * mode_m_vec_product(t, m, v),
-            atol=1e-10,
-        )
 
 
 class TestKhatriRao:
