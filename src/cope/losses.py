@@ -50,10 +50,10 @@ def median_pairwise_distance(x) -> float:
     return med if med > 0.0 else 1.0
 
 
-def rbf_bandwidths(real, factors=DEFAULT_BANDWIDTH_FACTORS) -> tuple[float, ...]:
+def rbf_bandwidths(real) -> tuple[float, ...]:
     """Bandwidth ladder scaled by the real batch's median pairwise distance."""
     med = median_pairwise_distance(real)
-    return tuple(float(f) * med for f in factors)
+    return tuple(f * med for f in DEFAULT_BANDWIDTH_FACTORS)
 
 
 def _kernel_sum(d2, coefs):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Tape, Var, concat_rows, tanh
+from .autodiff import Tape, Var, tanh
 
 _BLOCK_KINDS = ("ccp", "ncp", "additive")
 # The gated recursion's Hadamard, or the sum that replaces it in the ablation.
@@ -205,28 +205,14 @@ def spade_forward_cols(blk: ChainBlock, z_noise, z_cond):
 
 
 def concat_linear_forward(weights, inputs):
-    """Affine baseline: stack the inputs and apply one linear map."""
-    total = weights.shape[0]
-    if any(isinstance(z, Var) for z in inputs) or isinstance(weights, Var):
-        stacked = concat_rows(list(inputs))
-        if stacked.shape[0] != total:
-            raise ValueError(
-                f"concat_linear_forward weights expect {total} stacked rows, "
-                f"got {stacked.shape[0]}"
-            )
-        return weights.T @ stacked
-    arrays = [np.asarray(z, dtype=np.float64) for z in inputs]
-    squeeze = all(a.ndim == 1 for a in arrays)
-    if squeeze:
-        arrays = [a[:, None] for a in arrays]
-    stacked = np.concatenate(arrays, axis=0)
-    if stacked.shape[0] != total:
+    """Affine baseline on vectors: stack the inputs and apply one linear map."""
+    stacked = np.concatenate([np.asarray(z, dtype=np.float64) for z in inputs])
+    if stacked.shape[0] != weights.shape[0]:
         raise ValueError(
-            f"concat_linear_forward weights expect {total} stacked rows, "
-            f"got {stacked.shape[0]}"
+            f"concat_linear_forward weights expect {weights.shape[0]} stacked "
+            f"rows, got {stacked.shape[0]}"
         )
-    out = weights.T @ stacked
-    return out[:, 0] if squeeze else out
+    return (weights.T @ stacked[:, None])[:, 0]
 
 
 @dataclass
@@ -304,9 +290,10 @@ def _input_factors(rng, input_dims, rank, order, share, scale):
     return factors
 
 
-def init_ccp(rng, input_dims, rank, out_dim, order, share_conditional=False, scale=None):
-    """A ccp block that consumes variables 0..len(input_dims)-1."""
-    scale = 1.0 / np.sqrt(rank) if scale is None else float(scale)
+def init_ccp(rng, input_dims, rank, out_dim, order, share_conditional=False):
+    """A ccp block that consumes variables 0..len(input_dims)-1, drawn
+    uniformly in +-1/sqrt(rank)."""
+    scale = 1.0 / np.sqrt(rank)
     params = _input_factors(rng, input_dims, rank, order, share_conditional, scale)
     params["head"] = _uniform(rng, (out_dim, rank), scale)
     params["head_bias"] = np.zeros(out_dim)
@@ -315,26 +302,17 @@ def init_ccp(rng, input_dims, rank, out_dim, order, share_conditional=False, sca
     )
 
 
-def init_ncp(
-    rng,
-    input_dims,
-    rank,
-    out_dim,
-    order,
-    offset_dim=None,
-    share_conditional=False,
-    scale=None,
-):
-    """An ncp block that consumes variables 0..len(input_dims)-1."""
-    scale = 1.0 / np.sqrt(rank) if scale is None else float(scale)
-    width = rank if offset_dim is None else int(offset_dim)
+def init_ncp(rng, input_dims, rank, out_dim, order, share_conditional=False):
+    """An ncp block that consumes variables 0..len(input_dims)-1, drawn
+    uniformly in +-1/sqrt(rank); its offsets are `rank` wide."""
+    scale = 1.0 / np.sqrt(rank)
     params = _input_factors(rng, input_dims, rank, order, share_conditional, scale)
     for n in range(2, order + 1):
         params[f"state{n}"] = _uniform(rng, (rank, rank), scale)
     for n in range(1, order + 1):
-        params[f"off{n}"] = _uniform(rng, (width, rank), scale)
+        params[f"off{n}"] = _uniform(rng, (rank, rank), scale)
     for n in range(1, order + 1):
-        params[f"seed{n}"] = np.ones(width)
+        params[f"seed{n}"] = np.ones(rank)
     params["head"] = _uniform(rng, (out_dim, rank), scale)
     params["head_bias"] = np.zeros(out_dim)
     return ChainBlock(
@@ -342,10 +320,9 @@ def init_ncp(
     )
 
 
-def init_concat_linear(rng, input_dims, out_dim, scale=None):
+def init_concat_linear(rng, input_dims, out_dim):
     total = int(sum(input_dims))
-    scale = 1.0 / np.sqrt(total) if scale is None else float(scale)
-    return _uniform(rng, (total, out_dim), scale)
+    return _uniform(rng, (total, out_dim), 1.0 / np.sqrt(total))
 
 
 def init_chain(
@@ -417,12 +394,11 @@ def spade_config(blk: ChainBlock) -> ChainBlock:
     return replace(blk, kind="ncp", params=params, share_conditional=False)
 
 
-def init_discriminator(rng, in_dim, hidden, scale=None):
+def init_discriminator(rng, in_dim, hidden):
     """Two-hidden-layer tanh scorer used by the adversarial demo."""
-    s1 = (1.0 / np.sqrt(in_dim)) if scale is None else scale
-    s2 = (1.0 / np.sqrt(hidden)) if scale is None else scale
+    s2 = 1.0 / np.sqrt(hidden)
     return {
-        "w1": _uniform(rng, (hidden, in_dim), s1),
+        "w1": _uniform(rng, (hidden, in_dim), 1.0 / np.sqrt(in_dim)),
         "b1": np.zeros(hidden),
         "w2": _uniform(rng, (hidden, hidden), s2),
         "b2": np.zeros(hidden),

@@ -165,13 +165,13 @@ def build_coupled_tensors(blk: ChainBlock) -> OracleParams:
     )
 
 
-def degree_probe(f, base, direction, max_order: int, rel_tol: float = 1e-6) -> int:
+def degree_probe(f, base, direction, max_order: int) -> int:
     """Numerical polynomial degree of t -> sum(f(base + t * direction)).
 
     Samples integer nodes t = 0..max_order+1 (exact for polynomials up to
     rounding), builds the forward-difference table, and returns the least D
     whose (D+1)-th differences vanish while the D-th do not. A level counts
-    as vanished only if it is below rel_tol of the largest difference AND
+    as vanished only if it is below 1e-6 of the largest difference AND
     consistent with the rounding floor 2^level * eps * max|g|; composed
     blocks have leading coefficients far below the value scale, and the
     floor keeps such small-but-real levels from being read as noise.
@@ -203,7 +203,7 @@ def degree_probe(f, base, direction, max_order: int, rel_tol: float = 1e-6) -> i
 
     def vanished(level: int) -> bool:
         floor = 256.0 * (2.0**level) * eps * magnitudes[0]
-        return magnitudes[level] < rel_tol * scale and magnitudes[level] <= floor
+        return magnitudes[level] < 1e-6 * scale and magnitudes[level] <= floor
 
     for degree in range(max_order + 1):
         if vanished(degree + 1) and not vanished(degree):

@@ -15,7 +15,6 @@ import numpy as np
 from .autodiff import Tape, backward, concat_rows, softplus
 from .checkpoint import save_model
 from .losses import (
-    DEFAULT_BANDWIDTH_FACTORS,
     diversity_regularizer,
     mmd_loss,
     mse_loss,
@@ -85,11 +84,12 @@ def count_parameters(model) -> int:
     return sum(int(a.size) for a in model_parameters(model).values())
 
 
-def matched_additive_rank(var_dims, order, out_dim, target_count, max_rank=128) -> int:
-    """Rank whose additive-recursion parameter count is closest to target."""
+def matched_additive_rank(var_dims, order, out_dim, target_count) -> int:
+    """Rank in 1..128 whose additive-recursion parameter count is closest
+    to target."""
     d_sum = int(sum(var_dims))
     best_rank, best_gap = 1, None
-    for k in range(1, max_rank + 1):
+    for k in range(1, 129):
         count = (
             order * d_sum * k
             + (order - 1) * k * k
@@ -104,6 +104,38 @@ def matched_additive_rank(var_dims, order, out_dim, target_count, max_rank=128) 
     return best_rank
 
 
+def _fit(spec, out_dir, header, steps, step_loss, opt, stop_loss=None) -> TrainResult:
+    """Adam on `spec`'s parameters, one metrics row per step.
+
+    `step_loss(lifted)` returns the loss Var, the row's other losses and
+    its diagnostics; a non-finite loss or other loss ends the run with
+    TrainingDiverged, keeping the rows written so far.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    params = model_parameters(spec)
+    state = adam_init(params, **opt)
+    metrics = MetricsWriter(out_dir / "metrics.csv", header)
+    value = float("nan")
+    step = 0
+    try:
+        for step in range(1, steps + 1):
+            tape = Tape()
+            loss, others, diagnostics = step_loss(lift_model(tape, spec))
+            value = float(loss.value)
+            metrics.row([step, value, *others, *diagnostics])
+            if not np.isfinite([value, *others]).all():
+                raise TrainingDiverged(step, value, metrics.path)
+            adam_step(state, params, backward(tape, loss))
+            if stop_loss is not None and value < stop_loss:
+                break
+    finally:
+        metrics.close()
+    ckpt = out_dir / "checkpoint.json"
+    save_model(ckpt, spec)
+    return TrainResult(step, value, metrics.path, ckpt)
+
+
 def train_regression(
     spec: ModelSpec,
     inputs,
@@ -116,35 +148,16 @@ def train_regression(
     beta2=0.999,
     eps=1e-8,
     stop_loss=None,
-    checkpoint_name="checkpoint.json",
 ) -> TrainResult:
     """Full-batch regression; logs one (step, mse) row per step."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     inputs = [np.asarray(z, dtype=np.float64) for z in inputs]
     targets = np.asarray(targets, dtype=np.float64)
-    params = model_parameters(spec)
-    state = adam_init(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-    metrics = MetricsWriter(out_dir / "metrics.csv", ["step", "mse"])
-    value = float("nan")
-    step = 0
-    try:
-        for step in range(1, steps + 1):
-            tape = Tape()
-            pred = product_compose(lift_model(tape, spec), inputs)
-            loss = mse_loss(pred, targets)
-            value = float(loss.value)
-            metrics.row([step, value])
-            if not np.isfinite(value):
-                raise TrainingDiverged(step, value, metrics.path)
-            adam_step(state, params, backward(tape, loss))
-            if stop_loss is not None and value < stop_loss:
-                break
-    finally:
-        metrics.close()
-    ckpt = out_dir / checkpoint_name
-    save_model(ckpt, spec)
-    return TrainResult(step, value, metrics.path, ckpt)
+
+    def step_loss(lifted):
+        return mse_loss(product_compose(lifted, inputs), targets), [], []
+
+    opt = dict(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    return _fit(spec, out_dir, ["step", "mse"], steps, step_loss, opt, stop_loss)
 
 
 def _dump_samples(spec, task, noise_rng, noise_dim, noise_kind, per_class, path):
@@ -203,7 +216,6 @@ def train_conditional(
     eval_samples=1000,
     sweep_points=9,
     disc_hidden=32,
-    bandwidth_factors=DEFAULT_BANDWIDTH_FACTORS,
 ) -> TrainResult:
     """Class-conditional generator training with MMD or adversarial loss.
 
@@ -212,81 +224,54 @@ def train_conditional(
     """
     if loss_kind not in ("mmd", "gan"):
         raise ValueError(f"unknown loss kind '{loss_kind}'")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     k = task.n_classes
     data_rng = stream(seed, "data")
     noise_rng = stream(seed, "noise")
     diag_rng = stream(seed, "diag")
-    params = model_parameters(spec)
-    state = adam_init(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    opt = dict(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
     if loss_kind == "gan":
         disc = init_discriminator(stream(seed, "init", 1), spec.out_dim + k, disc_hidden)
-        disc_state = adam_init(disc, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        disc_state = adam_init(disc, **opt)
         header = ["step", "loss", "loss_disc", "diversity"]
     else:
         header = ["step", "loss"] + [f"mmd_class{c}" for c in range(k)] + ["diversity"]
-    metrics = MetricsWriter(out_dir / "metrics.csv", header)
-    value = float("nan")
-    step = 0
-    try:
-        for step in range(1, steps + 1):
-            labels = [one_hot(k, c, batch_size) for c in range(k)]
-            reals = [task.sample(data_rng, c, batch_size) for c in range(k)]
-            noises = [
-                sample_noise(noise_rng, noise_dim, batch_size, noise_kind)
-                for _ in range(k)
+
+    def step_loss(lifted):
+        labels = [one_hot(k, c, batch_size) for c in range(k)]
+        reals = [task.sample(data_rng, c, batch_size) for c in range(k)]
+        noises = [
+            sample_noise(noise_rng, noise_dim, batch_size, noise_kind) for _ in range(k)
+        ]
+        if loss_kind == "mmd":
+            parts = [
+                mmd_loss(product_compose(lifted, [z, y]), x, rbf_bandwidths(x))
+                for z, y, x in zip(noises, labels, reals)
             ]
-            if loss_kind == "mmd":
-                tape = Tape()
-                lifted = lift_model(tape, spec)
-                per_class = []
-                loss = 0.0
-                for c in range(k):
-                    fake = product_compose(lifted, [noises[c], labels[c]])
-                    part = mmd_loss(fake, reals[c], rbf_bandwidths(reals[c], bandwidth_factors))
-                    per_class.append(float(part.value))
-                    loss = loss + part
-                value = float(loss.value)
-                div = _diversity_probe(spec, task, diag_rng, noise_dim, noise_kind)
-                metrics.row([step, value] + per_class + [div])
-                if not np.isfinite(value):
-                    raise TrainingDiverged(step, value, metrics.path)
-                adam_step(state, params, backward(tape, loss))
-            else:
-                real_x = np.concatenate(reals, axis=1)
-                label_x = np.concatenate(labels, axis=1)
-                noise_x = np.concatenate(noises, axis=1)
-                fake_const = product_compose(spec, [noise_x, label_x])
-                tape_d = Tape()
-                lifted_d = lift_model(tape_d, disc)
-                logits_real = discriminator_forward(
-                    lifted_d, concat_rows([real_x, label_x])
-                )
-                logits_fake = discriminator_forward(
-                    lifted_d, concat_rows([fake_const, label_x])
-                )
-                loss_d, _ = nonsat_gan_losses(logits_real, logits_fake)
-                adam_step(disc_state, disc, backward(tape_d, loss_d))
-                tape_g = Tape()
-                lifted_g = lift_model(tape_g, spec)
-                fake = product_compose(lifted_g, [noise_x, label_x])
-                logits = discriminator_forward(disc, concat_rows([fake, label_x]))
-                loss_g = softplus(-logits).mean()
-                value = float(loss_g.value)
-                div = _diversity_probe(spec, task, diag_rng, noise_dim, noise_kind)
-                metrics.row([step, value, float(loss_d.value), div])
-                if not np.isfinite(value) or not np.isfinite(float(loss_d.value)):
-                    raise TrainingDiverged(step, value, metrics.path)
-                adam_step(state, params, backward(tape_g, loss_g))
-    finally:
-        metrics.close()
+            loss, others = sum(parts), [float(part.value) for part in parts]
+        else:
+            label_x = np.concatenate(labels, axis=1)
+            fake = product_compose(lifted, [np.concatenate(noises, axis=1), label_x])
+            # the discriminator steps on this forward's values before the
+            # generator loss reads its updated weights
+            tape_d = Tape()
+            lifted_d = lift_model(tape_d, disc)
+            loss_d, _ = nonsat_gan_losses(
+                discriminator_forward(
+                    lifted_d, concat_rows([np.concatenate(reals, axis=1), label_x])
+                ),
+                discriminator_forward(lifted_d, concat_rows([fake.value, label_x])),
+            )
+            adam_step(disc_state, disc, backward(tape_d, loss_d))
+            logits = discriminator_forward(disc, concat_rows([fake, label_x]))
+            loss, others = softplus(-logits).mean(), [float(loss_d.value)]
+        return loss, others, [_diversity_probe(spec, task, diag_rng, noise_dim, noise_kind)]
+
+    result = _fit(spec, out_dir, header, steps, step_loss, opt)
+    out_dir = Path(out_dir)
     _dump_samples(
         spec, task, diag_rng, noise_dim, noise_kind, eval_samples, out_dir / "samples.csv"
     )
     _dump_sweep(
         spec, task, diag_rng, noise_dim, noise_kind, sweep_points, out_dir / "sweep.csv"
     )
-    ckpt = out_dir / "checkpoint.json"
-    save_model(ckpt, spec)
-    return TrainResult(step, value, metrics.path, ckpt)
+    return result

@@ -175,3 +175,42 @@ def test_conditional_rejects_unknown_loss(tmp_path):
             _cond_spec(), task, steps=1, batch_size=4, seed=0,
             out_dir=tmp_path, loss_kind="wasserstein",
         )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_conditional_divergence_aborts_with_trace(tmp_path):
+    task = make_cond_point_cloud(4, 0.6, 0.05)
+    with pytest.raises(TrainingDiverged, match="step 2") as info:
+        train_conditional(
+            _cond_spec(), task, steps=5, batch_size=6, seed=0, out_dir=tmp_path,
+            noise_dim=3, lr=1e300,
+        )
+    assert info.value.step == 2
+    rows = list(csv.reader(open(tmp_path / "metrics.csv")))
+    assert [row[0] for row in rows[1:]] == ["1", "2"]  # the trace is kept
+    assert not (tmp_path / "checkpoint.json").exists()
+
+
+def test_gan_step_runs_the_generator_once(tmp_path, monkeypatch):
+    import cope.training
+
+    calls = []
+    forward = cope.training.product_compose
+
+    def counted(*args):
+        calls.append(1)
+        return forward(*args)
+
+    monkeypatch.setattr(cope.training, "product_compose", counted)
+    task = make_cond_point_cloud(4, 0.6, 0.05)
+    counts = []
+    for steps in (2, 3):
+        calls.clear()
+        train_conditional(
+            _cond_spec(), task, steps=steps, batch_size=6, seed=0,
+            out_dir=tmp_path / str(steps), loss_kind="gan", noise_dim=3,
+            eval_samples=5, sweep_points=3, disc_hidden=8,
+        )
+        counts.append(len(calls))
+    # one step: the generator's tape forward plus the diversity probe's two
+    assert counts[1] - counts[0] == 3
