@@ -47,7 +47,8 @@ def resolve_output_dir(cfg: ExperimentConfig) -> Path:
 
 
 def _regression_data(cfg: ExperimentConfig):
-    """(var_dims, inputs, targets) for the regression-style tasks."""
+    """(var_dims, inputs, targets) for the regression-style tasks,
+    poly-regression or downsample-1d."""
     data_rng = stream(cfg.seed, "data")
     if cfg.task == "poly-regression":
         task = make_poly_regression(
@@ -55,14 +56,10 @@ def _regression_data(cfg: ExperimentConfig):
             cfg.train_samples,
         )
         return (cfg.input_dim, cfg.input_dim), task.inputs, task.outputs
-    if cfg.task == "downsample-1d":
-        task = make_downsample1d(
-            data_rng, cfg.signal_length, cfg.downsample_factor, cfg.train_samples
-        )
-        return (task.coarse.shape[0],), [task.coarse], task.signals
-    raise ConfigError(
-        f"task '{cfg.task}' is not a regression task; use train-conditional"
+    task = make_downsample1d(
+        data_rng, cfg.signal_length, cfg.downsample_factor, cfg.train_samples
     )
+    return (task.coarse.shape[0],), [task.coarse], task.signals
 
 
 def _build_chain(cfg: ExperimentConfig, var_dims, out_dim):
@@ -127,10 +124,6 @@ def _run_train_regression(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def _run_train_conditional(cfg: ExperimentConfig, out_dir: Path) -> int:
-    if cfg.task != "cond-point-cloud":
-        raise ConfigError(
-            f"task '{cfg.task}' is not a conditional-generation task"
-        )
     task = make_cond_point_cloud(cfg.n_classes, cfg.cluster_radius, cfg.cluster_std)
     spec = _build_chain(cfg, (cfg.noise_dim, cfg.n_classes), out_dim=2)
     print(f"model: {cfg.variant} blocks {list(cfg.block_orders)} "
@@ -212,9 +205,27 @@ _RUNNERS = {
 }
 
 
+# Every file each command writes into its output directory. A run unlinks
+# these names first, so each write creates a fresh file: a rerun leaves none
+# of the previous run's artifacts behind, and truncating a file in place,
+# which can stall for tens of milliseconds on ext4, never happens. Other
+# files in the directory are not touched.
+ARTIFACTS = {
+    "verify": ("resolved_config.json", "verify_report.json"),
+    "train-regression": ("resolved_config.json", "metrics.csv", "checkpoint.json"),
+    "train-conditional": (
+        "resolved_config.json", "metrics.csv", "checkpoint.json",
+        "samples.csv", "sweep.csv",
+    ),
+    "degree-report": ("resolved_config.json", "degree_report.json"),
+}
+
+
 def run_experiment(cfg: ExperimentConfig) -> int:
     out_dir = resolve_output_dir(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for name in ARTIFACTS[cfg.command]:
+        (out_dir / name).unlink(missing_ok=True)
     dump_resolved(cfg, out_dir / "resolved_config.json")
     return _RUNNERS[cfg.command](cfg, out_dir)
 
@@ -277,10 +288,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return run_experiment(cfg)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except TrainingDiverged as e:

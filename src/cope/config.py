@@ -76,6 +76,12 @@ _ENUMS = {
     "loss": ("mmd", "gan"),
 }
 
+# the tasks each training command can run; the other commands take any task
+_COMMAND_TASKS = {
+    "train-regression": ("poly-regression", "downsample-1d"),
+    "train-conditional": ("cond-point-cloud",),
+}
+
 _POSITIVE_INTS = (
     "rank",
     "hidden_dim",
@@ -128,6 +134,12 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(
                 f"field '{name}' must be one of {list(allowed)}, got {v!r}"
             )
+    tasks = _COMMAND_TASKS.get(cfg.command, _ENUMS["task"])
+    if cfg.task not in tasks:
+        raise ConfigError(
+            f"field 'task' must be one of {list(tasks)} for command "
+            f"'{cfg.command}', got {cfg.task!r}"
+        )
     for name in _POSITIVE_INTS:
         v = getattr(cfg, name)
         if not _is_int(v) or v < 1:
@@ -206,6 +218,8 @@ def resolve(file_values: dict | None, overrides: dict | None = None) -> Experime
 def load_file(path) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
+    except OSError as e:
+        raise ConfigError(f"config {path} cannot be read: {e.strerror}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(doc, dict):

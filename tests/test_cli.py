@@ -1,9 +1,19 @@
 import json
+import os
 
 import pytest
 
-from cope.cli import main, resolve_output_dir
-from cope.config import resolve
+from cope.cli import ARTIFACTS, main, resolve_output_dir
+from cope.config import COMMANDS, resolve
+
+# a conditional generator small enough for a step to take milliseconds
+_TINY_GENERATOR = {
+    "batch_size": 6,
+    "rank": 4,
+    "hidden_dim": 4,
+    "eval_samples": 5,
+    "sweep_points": 3,
+}
 
 
 def test_verify_subset_writes_report(tmp_path, capsys):
@@ -194,3 +204,92 @@ def test_cli_reruns_byte_identical(tmp_path):
     assert (tmp_path / "a" / "metrics.csv").read_bytes() == (
         tmp_path / "b" / "metrics.csv"
     ).read_bytes()
+
+
+def _tiny_run(tmp_path, command, out, *extra, **values):
+    """Runs `command` into `out` with tiny settings; returns the exit code."""
+    cfgfile = tmp_path / f"{command}.json"
+    cfgfile.write_text(json.dumps(
+        {**(_TINY_GENERATOR if command == "train-conditional" else {}), **values}
+    ))
+    argv = [command, "--config", str(cfgfile), "--out", str(out)]
+    if command.startswith("train"):
+        argv += ["--steps", "1" if command == "train-conditional" else "2"]
+    if command == "verify":
+        argv += ["--suite", "lemma1"]
+    return main(argv + list(extra))  # a repeated flag's last value wins
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_artifact_table_lists_exactly_what_each_command_writes(tmp_path, command):
+    assert set(ARTIFACTS) == set(COMMANDS)
+    out = tmp_path / "run"
+    assert _tiny_run(tmp_path, command, out) == 0
+    assert sorted(os.listdir(out)) == sorted(ARTIFACTS[command])
+
+
+def test_rerun_writes_fresh_files_not_in_place(tmp_path):
+    out, side = tmp_path / "run", tmp_path / "side"
+    side.mkdir()
+    assert _tiny_run(tmp_path, "train-conditional", out, "--seed", "1") == 0
+    old = {}
+    for name in ARTIFACTS["train-conditional"]:
+        os.link(out / name, side / name)
+        old[name] = (side / name).read_bytes()
+    assert _tiny_run(tmp_path, "train-conditional", out, "--seed", "2") == 0
+    for name, data in old.items():
+        assert (side / name).read_bytes() == data, name
+        assert not os.path.samefile(side / name, out / name), name
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_rerun_leaves_no_stale_artifacts(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert _tiny_run(tmp_path, "train-conditional", out, "--steps", "5") == 0
+    code = _tiny_run(
+        tmp_path, "train-conditional", out, "--steps", "5", "--seed", "0", lr=1e300
+    )
+    assert code == 1
+    assert "at step 2" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["metrics.csv", "resolved_config.json"]
+
+
+def test_rerun_keeps_files_that_are_not_artifacts(tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "notes.txt").write_text("mine\n")
+    (out / "samples.csv").write_text("not written by train-regression\n")
+    for _ in range(2):
+        assert _tiny_run(tmp_path, "train-regression", out) == 0
+    assert (out / "notes.txt").read_text() == "mine\n"
+    assert (out / "samples.csv").read_text() == "not written by train-regression\n"
+
+
+@pytest.mark.parametrize(
+    "command, task",
+    [("train-conditional", "poly-regression"), ("train-regression", "cond-point-cloud")],
+)
+def test_task_command_mismatch_exits_2_and_writes_nothing(tmp_path, capsys, command, task):
+    out = tmp_path / "run"
+    out.mkdir()
+    assert _tiny_run(tmp_path, command, out, task=task) == 2
+    err = capsys.readouterr().err
+    assert "field 'task'" in err and task in err
+    assert list(out.iterdir()) == []
+
+
+def test_out_naming_a_file_exits_1_without_traceback(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory\n")
+    assert main(["degree-report", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out.read_text() == "a file, not a directory\n"
+
+
+def test_unreadable_config_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["verify", "--config", str(missing), "--out", str(tmp_path / "v")]) == 2
+    assert "missing.json cannot be read" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
+
