@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from cope.cli import clear_artifacts
 from cope.models import init_chain
 from cope.rng import stream
 from cope.tasks import make_cond_point_cloud, nearest_center
@@ -30,6 +31,7 @@ def main():
         stream(args.seed, "init"), (args.noise_dim, args.classes), (2, 2),
         rank=16, hidden_dim=8, out_dim=2, output_activation="tanh",
     )
+    clear_artifacts(args.out, "train-conditional")
     result = train_conditional(
         spec, task, steps=args.steps, batch_size=64, seed=args.seed,
         out_dir=args.out, loss_kind="mmd", noise_dim=args.noise_dim,

@@ -6,6 +6,7 @@ import argparse
 import os
 from pathlib import Path
 
+from cope.cli import clear_artifacts
 from cope.models import init_chain
 from cope.rng import stream
 from cope.tasks import make_cond_point_cloud
@@ -26,6 +27,7 @@ def main():
         stream(args.seed, "init"), (4, 4), (2, 2), rank=16, hidden_dim=8,
         out_dim=2, output_activation="tanh",
     )
+    clear_artifacts(args.out, "train-conditional")
     result = train_conditional(
         spec, task, steps=args.steps, batch_size=64, seed=args.seed,
         out_dir=args.out, loss_kind="gan", noise_dim=4,

@@ -6,6 +6,7 @@ import argparse
 import os
 from pathlib import Path
 
+from cope.cli import clear_artifacts
 from cope.models import init_chain
 from cope.rng import stream
 from cope.tasks import make_poly_regression
@@ -29,6 +30,7 @@ def main():
             stream(args.seed, "init"), (2, 2), (args.degree,), rank=rank,
             hidden_dim=8, out_dim=1, kind=kind,
         )
+        clear_artifacts(args.out / sub, "train-regression")
         result = train_regression(
             spec, task.inputs, task.outputs, steps=args.steps,
             out_dir=args.out / sub, stop_loss=5e-5,

@@ -87,42 +87,19 @@ class Var:
     def __sub__(self, other):
         return self._binary(other, "sub", "sub_const", np.subtract)
 
-    def __rsub__(self, other):
-        c = np.asarray(other, dtype=np.float64)
-        return self.tape._push("rsub_const", c - self.value, (self.nid,), ctx=c)
-
     def __mul__(self, other):
         return self._binary(other, "mul", "mul_const", np.multiply)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Var):
-            raise TypeError("division by a Var is not on the tape; multiply instead")
-        return self * (1.0 / np.asarray(other, dtype=np.float64))
-
     def __neg__(self):
         return self.tape._push("neg", -self.value, (self.nid,))
 
     def __matmul__(self, other):
-        if not isinstance(other, Var):
-            other = self.tape.constant(other)
-        if self.ndim != 2 or other.ndim != 2:
-            raise ValueError(
-                f"matmul expects matrices, got {self.shape} @ {other.shape}"
-            )
-        return self.tape._push(
-            "matmul", self.value @ other.value, (self.nid, other.nid)
-        )
+        return _matrix_product("matmul", self, other)
 
     def __rmatmul__(self, other):
-        return self.tape.constant(other).__matmul__(self)
-
-    @property
-    def T(self):
-        if self.ndim != 2:
-            raise ValueError(f"transpose expects a matrix, got shape {self.shape}")
-        return self.tape._push("transpose", self.value.T, (self.nid,))
+        return _matrix_product("matmul", other, self)
 
     def tanh(self):
         return self.tape._push("tanh", np.tanh(self.value), (self.nid,))
@@ -155,6 +132,23 @@ class Var:
             (self.nid,),
             ctx=self.value.shape,
         )
+
+
+def _matrix_product(op, a, b):
+    """Push `a @ b` or, as "tmatmul", `a.T @ b`; plain operands become constants."""
+    tape = a.tape if isinstance(a, Var) else b.tape
+    a, b = (v if isinstance(v, Var) else tape.constant(v) for v in (a, b))
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"{op} expects matrices, got {a.shape} and {b.shape}")
+    lhs = a.value.T if op == "tmatmul" else a.value
+    return tape._push(op, lhs @ b.value, (a.nid, b.nid))
+
+
+def tmatmul(a, b):
+    """`a.T @ b`: one tape node when either side is a Var, no transpose node."""
+    if isinstance(a, Var) or isinstance(b, Var):
+        return _matrix_product("tmatmul", a, b)
+    return a.T @ b
 
 
 def tanh(x):
@@ -226,7 +220,6 @@ _RULES: dict[str, Callable] = {
         _unbroadcast(-g, v[n.inputs[1]].value.shape),
     ),
     "sub_const": lambda n, g, v: (_unbroadcast(g, v[n.inputs[0]].value.shape),),
-    "rsub_const": lambda n, g, v: (_unbroadcast(-g, v[n.inputs[0]].value.shape),),
     "mul": lambda n, g, v: (
         _unbroadcast(g * v[n.inputs[1]].value, v[n.inputs[0]].value.shape),
         _unbroadcast(g * v[n.inputs[0]].value, v[n.inputs[1]].value.shape),
@@ -239,7 +232,8 @@ _RULES: dict[str, Callable] = {
         g @ v[n.inputs[1]].value.T,
         v[n.inputs[0]].value.T @ g,
     ),
-    "transpose": lambda n, g, v: (g.T,),
+    # the matmul rule's A gradient transposed: the transpose + matmul pair's bytes
+    "tmatmul": lambda n, g, v: ((g @ v[n.inputs[1]].value.T).T, v[n.inputs[0]].value @ g),
     "tanh": lambda n, g, v: (g * (1.0 - n.value**2),),
     "exp": lambda n, g, v: (g * n.value,),
     "softplus": lambda n, g, v: (

@@ -221,11 +221,17 @@ ARTIFACTS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig) -> int:
-    out_dir = resolve_output_dir(cfg)
+def clear_artifacts(out_dir, command: str) -> Path:
+    """Create `out_dir` and unlink the files `command` writes there."""
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name in ARTIFACTS[cfg.command]:
+    for name in ARTIFACTS[command]:
         (out_dir / name).unlink(missing_ok=True)
+    return out_dir
+
+
+def run_experiment(cfg: ExperimentConfig) -> int:
+    out_dir = clear_artifacts(resolve_output_dir(cfg), cfg.command)
     dump_resolved(cfg, out_dir / "resolved_config.json")
     return _RUNNERS[cfg.command](cfg, out_dir)
 

@@ -22,11 +22,18 @@ def mse_loss(pred, target):
     return (diff * diff).mean()
 
 
+def _classes(x):
+    """A (d, k, n) batch as is; a (d, n) batch as one class, (d, 1, n)."""
+    return x if x.ndim == 3 else x.reshape((x.shape[0], 1, x.shape[1]))
+
+
 def pairwise_sq_dists(x, y):
-    """Squared Euclidean distances between column samples: (n, m) matrix."""
-    xx = (x * x).sum(axis=0, keepdims=True)
-    yy = (y * y).sum(axis=0, keepdims=True)
-    return xx.T + yy - 2.0 * (x.T @ y)
+    """(k, n, m) squared distances between each class's columns of (d, k, n)
+    and (d, k, m) batches; the difference form, as the tape's matmul is 2-D."""
+    x, y = _classes(x), _classes(y)
+    d, k, n, m = *x.shape, y.shape[2]
+    diff = x.reshape((d, k, n, 1)) - y.reshape((d, k, 1, m))
+    return (diff * diff).sum(axis=0)
 
 
 @lru_cache(maxsize=16)
@@ -37,53 +44,49 @@ def _upper_triangle(n: int):
     return rows, cols
 
 
-def median_pairwise_distance(x) -> float:
-    """Median off-diagonal distance of a column batch; 1.0 as a degenerate
-    fallback (single sample or all samples identical)."""
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[1]
-    if n < 2:
-        return 1.0
-    d2 = pairwise_sq_dists(x, x)
-    upper = d2[_upper_triangle(n)]
-    med = float(np.sqrt(np.maximum(np.median(upper), 0.0)))
-    return med if med > 0.0 else 1.0
+def rbf_bandwidths(real, dyy=None):
+    """Each class's bandwidth ladder, (k, B), scaled by the median pairwise
+    distance of its real samples (1.0 when that is 0 or there is one
+    sample); a 2-D batch gets one (B,) ladder. `dyy` is
+    `pairwise_sq_dists(real, real)`, built here when not given."""
+    real = np.asarray(real, dtype=np.float64)
+    dyy = pairwise_sq_dists(real, real) if dyy is None else dyy
+    med, m = np.ones(len(dyy)), dyy.shape[-1]
+    if m >= 2:
+        rows, cols = _upper_triangle(m)
+        med = np.sqrt(np.maximum(np.median(dyy[:, rows, cols], axis=1), 0.0))
+    ladders = np.where(med > 0.0, med, 1.0)[:, None] * DEFAULT_BANDWIDTH_FACTORS
+    return ladders if real.ndim == 3 else ladders[0]
 
 
-def rbf_bandwidths(real) -> tuple[float, ...]:
-    """Bandwidth ladder scaled by the real batch's median pairwise distance."""
-    med = median_pairwise_distance(real)
-    return tuple(f * med for f in DEFAULT_BANDWIDTH_FACTORS)
+def mmd_loss(x, y, bandwidths, dyy=None):
+    """Biased squared MMD of each class, summed over its RBF bandwidths: a
+    (k,) vector for (d, k, n) fakes `x` against (d, k, m) reals `y`, with
+    one bandwidth ladder per class; 2-D batches and a flat ladder are one class.
 
-
-def _kernel_sum(d2, coefs):
-    """Sum of exp(c * d2) over every entry and every coefficient c."""
-    return exp(d2.reshape((1,) + d2.shape) * coefs).sum()
-
-
-def mmd_loss(x, y, bandwidths):
-    """Biased squared maximum mean discrepancy, summed over RBF bandwidths.
-
-    V-statistic with all pair terms kept, so identical batches give exactly
-    zero and the value is never negative (up to rounding).
+    A V-statistic with all pair terms kept, so identical batches give
+    exactly zero and no value is negative (up to rounding). `dyy` is
+    `pairwise_sq_dists(y, y)`, built here when not given.
     """
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(
-            f"feature dims differ: {x.shape[0]} vs {y.shape[0]}"
-        )
-    if x.shape[1] == 0 or y.shape[1] == 0:
-        raise ValueError("mmd_loss needs nonempty batches")
-    bandwidths = tuple(float(s) for s in bandwidths)
-    if not bandwidths or any(s <= 0.0 for s in bandwidths):
-        raise ValueError(f"bandwidths must be positive, got {bandwidths}")
-    # one leading axis of kernel coefficients -0.5 / sigma^2 evaluates every
-    # bandwidth in one exp, so a distance matrix costs one kernel node
-    coefs = np.array([-0.5 / (s * s) for s in bandwidths]).reshape(-1, 1, 1)
-    n, m = x.shape[1], y.shape[1]
+    x, y = _classes(x), _classes(y)
+    (d, k, n), m = x.shape, y.shape[2]
+    if y.shape[:2] != (d, k) or n == 0 or m == 0:
+        raise ValueError(f"mmd_loss: unequal or empty batches {x.shape}, {y.shape}")
+    bw = np.atleast_2d(np.asarray(bandwidths, dtype=np.float64))
+    if bw.size == 0 or np.any(bw <= 0.0) or bw.ndim != 2 or len(bw) != k:
+        raise ValueError(f"bandwidths must be positive, one ladder per class: {bw}")
+    dyy = pairwise_sq_dists(y, y) if dyy is None else dyy
+    # coefficients -0.5 / sigma^2 on a (B, k, 1, 1) grid: one exp over a
+    # (B, k, n, m) product evaluates every class and every bandwidth
+    coefs = (-0.5 / (bw * bw)).T[:, :, None, None]
+
+    def kernel_sums(d2):
+        return exp(d2 * coefs).sum(axis=(0, 2, 3))
+
     return (
-        _kernel_sum(pairwise_sq_dists(x, x), coefs) * (1.0 / (n * n))
-        + _kernel_sum(pairwise_sq_dists(y, y), coefs) * (1.0 / (m * m))
-        - _kernel_sum(pairwise_sq_dists(x, y), coefs) * (2.0 / (n * m))
+        kernel_sums(pairwise_sq_dists(x, x)) * (1.0 / (n * n))
+        + kernel_sums(dyy) * (1.0 / (m * m))
+        - kernel_sums(pairwise_sq_dists(x, y)) * (2.0 / (n * m))
     )
 
 

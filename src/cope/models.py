@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Tape, Var, tanh
+from .autodiff import Tape, Var, tanh, tmatmul
 
 _BLOCK_KINDS = ("ccp", "ncp", "additive")
 # The gated recursion's Hadamard, or the sum that replaces it in the ablation.
@@ -162,9 +162,9 @@ def _col(vec):
 
 
 def _linear_mix(blk, n, inputs):
-    acc = blk.factor(n, 0).T @ inputs[0]
+    acc = tmatmul(blk.factor(n, 0), inputs[0])
     for phi in range(1, len(inputs)):
-        acc = acc + blk.factor(n, phi).T @ inputs[phi]
+        acc = acc + tmatmul(blk.factor(n, phi), inputs[phi])
     return acc
 
 
@@ -182,11 +182,11 @@ def ncp_forward_cols(blk: ChainBlock, inputs, combine):
     """Gated recursion y_n = (sum_phi A_n,phi^T z_phi) * (V_n^T y_{n-1} + B_n^T b_n),
     with `combine` as the `*`; `operator.add` gives the additive ablation."""
     p = blk.params
-    y = combine(_linear_mix(blk, 1, inputs), p["off1"].T @ _col(p["seed1"]))
+    y = combine(_linear_mix(blk, 1, inputs), tmatmul(p["off1"], _col(p["seed1"])))
     for n in range(2, blk.order + 1):
         y = combine(
             _linear_mix(blk, n, inputs),
-            p[f"state{n}"].T @ y + p[f"off{n}"].T @ _col(p[f"seed{n}"]),
+            tmatmul(p[f"state{n}"], y) + tmatmul(p[f"off{n}"], _col(p[f"seed{n}"])),
         )
     return p["head"] @ y + _col(p["head_bias"])
 
@@ -196,10 +196,10 @@ def spade_forward_cols(blk: ChainBlock, z_noise, z_cond):
     alone and has no offset factor; later layers gate with the conditional
     input only."""
     p = blk.params
-    y = p["in1.v0"].T @ z_noise
+    y = tmatmul(p["in1.v0"], z_noise)
     for n in range(2, blk.order + 1):
-        y = (blk.factor(n, 1).T @ z_cond) * (
-            p[f"state{n}"].T @ y + p[f"off{n}"].T @ _col(p[f"seed{n}"])
+        y = tmatmul(blk.factor(n, 1), z_cond) * (
+            tmatmul(p[f"state{n}"], y) + tmatmul(p[f"off{n}"], _col(p[f"seed{n}"]))
         )
     return p["head"] @ y + _col(p["head_bias"])
 

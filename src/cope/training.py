@@ -19,6 +19,7 @@ from .losses import (
     mmd_loss,
     mse_loss,
     nonsat_gan_losses,
+    pairwise_sq_dists,
     rbf_bandwidths,
 )
 from .models import (
@@ -160,18 +161,18 @@ def train_regression(
     return _fit(spec, out_dir, ["step", "mse"], steps, step_loss, opt, stop_loss)
 
 
-def _dump_samples(spec, task, noise_rng, noise_dim, noise_kind, per_class, path):
+def _dump_samples(spec, task, draw, per_class, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["class"] + [f"x{i}" for i in range(spec.out_dim)])
         for cls in range(task.n_classes):
-            noise = sample_noise(noise_rng, noise_dim, per_class, noise_kind)
+            noise = draw(per_class)
             out = product_compose(spec, [noise, one_hot(task.n_classes, cls, per_class)])
             for b in range(per_class):
                 writer.writerow([cls] + [_fmt(v) for v in out[:, b]])
 
 
-def _dump_sweep(spec, task, noise_rng, noise_dim, noise_kind, points, path):
+def _dump_sweep(spec, task, draw, points, path):
     ts = np.linspace(0.0, 1.0, points)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -181,7 +182,7 @@ def _dump_sweep(spec, task, noise_rng, noise_dim, noise_kind, points, path):
         k = task.n_classes
         for a in range(k):
             for b in range(a + 1, k):
-                z = sample_noise(noise_rng, noise_dim, 1, noise_kind)[:, 0]
+                z = draw(1)[:, 0]
                 for t in ts:
                     cond = np.zeros(k)
                     cond[a], cond[b] = 1.0 - t, t
@@ -189,9 +190,8 @@ def _dump_sweep(spec, task, noise_rng, noise_dim, noise_kind, points, path):
                     writer.writerow([a, b, _fmt(t)] + [_fmt(v) for v in out])
 
 
-def _diversity_probe(spec, task, rng, noise_dim, noise_kind) -> float:
-    z1 = sample_noise(rng, noise_dim, 1, noise_kind)[:, 0]
-    z2 = sample_noise(rng, noise_dim, 1, noise_kind)[:, 0]
+def _diversity_probe(spec, task, draw) -> float:
+    z1, z2 = draw(1)[:, 0], draw(1)[:, 0]
     cond = one_hot(task.n_classes, 0, 1)[:, 0]
     g1 = product_compose(spec, [z1, cond])
     g2 = product_compose(spec, [z2, cond])
@@ -236,42 +236,39 @@ def train_conditional(
     else:
         header = ["step", "loss"] + [f"mmd_class{c}" for c in range(k)] + ["diversity"]
 
+    def draw(n):  # the diagnostics' noise: probe, samples and sweep
+        return sample_noise(diag_rng, noise_dim, n, noise_kind)
+
+    # every class's batch side by side, class-major: one generator forward
+    label_x = np.concatenate([one_hot(k, c, batch_size) for c in range(k)], axis=1)
+
     def step_loss(lifted):
-        labels = [one_hot(k, c, batch_size) for c in range(k)]
-        reals = [task.sample(data_rng, c, batch_size) for c in range(k)]
-        noises = [
-            sample_noise(noise_rng, noise_dim, batch_size, noise_kind) for _ in range(k)
-        ]
+        real = np.concatenate([task.sample(data_rng, c, batch_size) for c in range(k)], 1)
+        noise = np.concatenate(
+            [sample_noise(noise_rng, noise_dim, batch_size, noise_kind) for _ in range(k)], 1
+        )
+        fake = product_compose(lifted, [noise, label_x])
         if loss_kind == "mmd":
-            parts = [
-                mmd_loss(product_compose(lifted, [z, y]), x, rbf_bandwidths(x))
-                for z, y, x in zip(noises, labels, reals)
-            ]
-            loss, others = sum(parts), [float(part.value) for part in parts]
+            # the class axis, and the real distances built once a step
+            real = real.reshape((-1, k, batch_size))
+            dyy = pairwise_sq_dists(real, real)
+            parts = mmd_loss(fake.reshape(real.shape), real, rbf_bandwidths(real, dyy), dyy)
+            loss, others = parts.sum(), list(parts.value)
         else:
-            label_x = np.concatenate(labels, axis=1)
-            fake = product_compose(lifted, [np.concatenate(noises, axis=1), label_x])
             # the discriminator steps on this forward's values before the
             # generator loss reads its updated weights
             tape_d = Tape()
             lifted_d = lift_model(tape_d, disc)
             loss_d, _ = nonsat_gan_losses(
-                discriminator_forward(
-                    lifted_d, concat_rows([np.concatenate(reals, axis=1), label_x])
-                ),
+                discriminator_forward(lifted_d, concat_rows([real, label_x])),
                 discriminator_forward(lifted_d, concat_rows([fake.value, label_x])),
             )
             adam_step(disc_state, disc, backward(tape_d, loss_d))
             logits = discriminator_forward(disc, concat_rows([fake, label_x]))
             loss, others = softplus(-logits).mean(), [float(loss_d.value)]
-        return loss, others, [_diversity_probe(spec, task, diag_rng, noise_dim, noise_kind)]
+        return loss, others, [_diversity_probe(spec, task, draw)]
 
     result = _fit(spec, out_dir, header, steps, step_loss, opt)
-    out_dir = Path(out_dir)
-    _dump_samples(
-        spec, task, diag_rng, noise_dim, noise_kind, eval_samples, out_dir / "samples.csv"
-    )
-    _dump_sweep(
-        spec, task, diag_rng, noise_dim, noise_kind, sweep_points, out_dir / "sweep.csv"
-    )
+    _dump_samples(spec, task, draw, eval_samples, Path(out_dir) / "samples.csv")
+    _dump_sweep(spec, task, draw, sweep_points, Path(out_dir) / "sweep.csv")
     return result

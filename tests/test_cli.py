@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -240,6 +243,26 @@ def test_rerun_writes_fresh_files_not_in_place(tmp_path):
     for name, data in old.items():
         assert (side / name).read_bytes() == data, name
         assert not os.path.samefile(side / name, out / name), name
+
+
+def test_script_rerun_writes_fresh_files_not_in_place(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out, link = tmp_path / "run", tmp_path / "old_checkpoint.json"
+
+    def run():
+        subprocess.run(
+            [sys.executable, str(root / "scripts" / "gan_demo.py"),
+             "--steps", "2", "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+
+    run()
+    os.link(out / "checkpoint.json", link)
+    old = link.read_bytes()
+    run()
+    assert link.read_bytes() == old
+    assert not os.path.samefile(link, out / "checkpoint.json")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

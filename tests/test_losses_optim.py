@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 from cope.autodiff import Tape, backward, concat_rows, finite_diff_check
 from cope.losses import (
+    DEFAULT_BANDWIDTH_FACTORS,
     diversity_regularizer,
     mmd_loss,
     mse_loss,
     nonsat_gan_losses,
+    pairwise_sq_dists,
     rbf_bandwidths,
 )
 from cope.models import (
@@ -82,6 +84,56 @@ class TestMmd:
         far = x + 10.0
         bw = rbf_bandwidths(x)
         assert mmd_loss(x, far, bw) > mmd_loss(x, near, bw)
+
+
+class TestBatchedMmd:
+    """The (d, k, n) call scores every class at once; it must agree with k
+    separate 2-D calls, each with its own bandwidth ladder."""
+
+    @staticmethod
+    def _batches():
+        rng = np.random.default_rng(63)
+        x = rng.standard_normal((2, 3, 5))
+        y = rng.standard_normal((2, 3, 7))
+        y[:, 1, :] = 0.25  # one class's reals coincide: the 1.0 fallback
+        return x, y
+
+    def test_matches_per_class_calls(self):
+        x, y = self._batches()
+        bw = rbf_bandwidths(y)
+        assert bw.shape == (3, 5)
+        np.testing.assert_array_equal(bw[1], DEFAULT_BANDWIDTH_FACTORS)
+        got = mmd_loss(x, y, bw)
+        assert got.shape == (3,)
+        for c in range(3):
+            np.testing.assert_array_equal(bw[c], rbf_bandwidths(y[:, c]))
+            want = mmd_loss(x[:, c], y[:, c], rbf_bandwidths(y[:, c]))
+            np.testing.assert_allclose(got[c], want[0], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(
+            got.sum(),
+            sum(mmd_loss(x[:, c], y[:, c], bw[c])[0] for c in range(3)),
+            rtol=1e-12,
+            atol=0.0,
+        )
+
+    def test_precomputed_real_distances_change_nothing(self):
+        x, y = self._batches()
+        dyy = pairwise_sq_dists(y, y)
+        assert dyy.shape == (3, 7, 7)
+        bw = rbf_bandwidths(y)
+        np.testing.assert_array_equal(rbf_bandwidths(y, dyy), bw)
+        np.testing.assert_array_equal(mmd_loss(x, y, bw, dyy), mmd_loss(x, y, bw))
+
+    def test_ladder_count_checked(self):
+        x, y = self._batches()
+        with pytest.raises(ValueError, match="one ladder per class"):
+            mmd_loss(x, y, np.ones((2, 5)))
+
+    def test_finite_differences(self):
+        x, y = self._batches()
+        bw = rbf_bandwidths(y)
+        err = finite_diff_check(lambda p: mmd_loss(p["x"], y, bw).sum(), {"x": x})
+        assert err < 1e-5
 
 
 class TestLossGradients:

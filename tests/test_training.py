@@ -214,3 +214,54 @@ def test_gan_step_runs_the_generator_once(tmp_path, monkeypatch):
         counts.append(len(calls))
     # one step: the generator's tape forward plus the diversity probe's two
     assert counts[1] - counts[0] == 3
+
+
+def test_mmd_step_runs_the_generator_once(tmp_path, monkeypatch):
+    import cope.training
+
+    calls = []
+    forward = cope.training.product_compose
+
+    def counted(*args):
+        calls.append(1)
+        return forward(*args)
+
+    monkeypatch.setattr(cope.training, "product_compose", counted)
+    task = make_cond_point_cloud(4, 0.6, 0.05)
+    counts = []
+    for steps in (2, 3):
+        calls.clear()
+        train_conditional(
+            _cond_spec(), task, steps=steps, batch_size=6, seed=0,
+            out_dir=tmp_path / str(steps), noise_dim=3, eval_samples=5,
+            sweep_points=3,
+        )
+        counts.append(len(calls))
+    # one step: the generator's tape forward plus the diversity probe's two
+    assert counts[1] - counts[0] == 3
+
+
+def test_mmd_step_tape_has_no_transpose_and_few_nodes(tmp_path, monkeypatch):
+    import cope.training
+
+    tapes = []
+    backward = cope.training.backward
+
+    def recorded(tape, out, *rest):
+        tapes.append([node.op for node in tape.nodes])
+        return backward(tape, out, *rest)
+
+    monkeypatch.setattr(cope.training, "backward", recorded)
+    # the benchmark's generator: a [2, 2] chain of rank 16 over 4 classes
+    spec = init_chain(
+        stream(0, "init"), (4, 4), (2, 2), rank=16, hidden_dim=8, out_dim=2,
+        output_activation="tanh",
+    )
+    train_conditional(
+        spec, make_cond_point_cloud(4, 0.6, 0.05), steps=2, batch_size=8, seed=0,
+        out_dir=tmp_path, noise_dim=4, eval_samples=5, sweep_points=3,
+    )
+    assert len(tapes) == 2
+    for ops in tapes:
+        assert "transpose" not in ops
+        assert len(ops) <= 80
