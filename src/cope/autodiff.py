@@ -292,7 +292,13 @@ def finite_diff_check(f, params: dict, h: float = 1e-5) -> float:
 
     `f` must accept a dict of parameter arrays or of Vars and return a
     scalar of matching kind. The relative error denominator is
-    max(|analytic|, |fd|, 1e-8) per coordinate.
+    max(|analytic|, |fd|, 1e-8, 2e5 * eps * |f| / h) per coordinate.
+
+    The last term is the difference's own rounding noise, about
+    2 eps |f| / h, over a 1e-5 relative error: a gradient too small for the
+    difference to resolve to 1e-5 is held to that noise in absolute terms.
+    It exceeds 1e-8, and so changes anything, only when that noise exceeds
+    the 1e-13 that the fixed floor allows at 1e-5.
     """
     params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
     tape = Tape()
@@ -300,6 +306,7 @@ def finite_diff_check(f, params: dict, h: float = 1e-5) -> float:
     if not isinstance(out, Var) or out.value.size != 1:
         raise ValueError("finite_diff_check needs a scalar-valued graph output")
     analytic = backward(tape, out, np.ones_like(out.value))
+    noise_floor = 2e5 * float(np.finfo(np.float64).eps) * abs(out.value.item()) / h
 
     def eval_at(work, label):
         val = np.asarray(f(work), dtype=np.float64)
@@ -320,6 +327,6 @@ def finite_diff_check(f, params: dict, h: float = 1e-5) -> float:
             fm = eval_at(work, f"{name}[{i}]")
             flat[i] = orig
             fd = (fp - fm) / (2.0 * h)
-            rel = abs(a_flat[i] - fd) / max(abs(a_flat[i]), abs(fd), 1e-8)
+            rel = abs(a_flat[i] - fd) / max(abs(a_flat[i]), abs(fd), 1e-8, noise_floor)
             max_rel = max(max_rel, rel)
     return max_rel

@@ -22,7 +22,7 @@ from .config import (
     load_file,
     resolve,
 )
-from .models import init_chain, product_compose
+from .models import init_chain
 from .oracle import degree_probe
 from .rng import stream
 from .tasks import make_cond_point_cloud, make_downsample1d, make_poly_regression
@@ -32,7 +32,7 @@ from .training import (
     train_conditional,
     train_regression,
 )
-from .verify import run_suites
+from .verify import degree_ray, run_suites
 
 import numpy as np
 
@@ -163,13 +163,15 @@ def _run_degree_report(cfg: ExperimentConfig, out_dir: Path) -> int:
     base = [probe_rng.uniform(-1.0, 1.0, d) for d in var_dims]
     joint_dir = [probe_rng.uniform(-1.0, 1.0, d) for d in var_dims]
 
+    f, exact = degree_ray(spec)
+
     def probe(direction):
-        splits = np.cumsum(var_dims)[:-1]
         return degree_probe(
-            lambda x: product_compose(spec, list(np.split(x, splits))),
+            f,
             np.concatenate(base),
             np.concatenate(direction),
             max_order=cfg.probe_max_order,
+            exact=exact,
         )
 
     degrees = {"joint": probe(joint_dir)}

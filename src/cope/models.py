@@ -139,7 +139,9 @@ def _prep_inputs(inputs, dims, who):
     if any(isinstance(z, Var) for z in inputs):
         cols, squeeze = list(inputs), False
     else:
-        arrays = [np.asarray(z, dtype=np.float64) for z in inputs]
+        # object arrays (exact Fractions) stay as they are
+        arrays = [np.asarray(z) for z in inputs]
+        arrays = [a if a.dtype == object else np.asarray(a, np.float64) for a in arrays]
         ndims = {a.ndim for a in arrays}
         if ndims == {1}:
             cols, squeeze = [a[:, None] for a in arrays], True
@@ -413,19 +415,42 @@ def discriminator_forward(params, x):
     return params["w3"] @ h + _col(params["b3"])
 
 
+def _parameter_dicts(model):
+    """(name prefix, dict) pairs that hold the parameter arrays of a
+    ModelSpec, a ChainBlock or a plain name -> array dict."""
+    if isinstance(model, ModelSpec):
+        return [(f"b{i}.", blk.params) for i, blk in enumerate(model.blocks)]
+    if isinstance(model, ChainBlock):
+        return [("", model.params)]
+    return [("", model)]
+
+
 def model_parameters(model) -> dict:
     """Named parameter arrays of a ModelSpec (block i's names prefixed by
     `b{i}.`), a ChainBlock or a plain dict, in order; a shared conditional
     factor appears once."""
-    if isinstance(model, ModelSpec):
-        return {
-            f"b{i}.{name}": arr
-            for i, blk in enumerate(model.blocks)
-            for name, arr in blk.params.items()
-        }
-    if isinstance(model, ChainBlock):
-        return dict(model.params)
-    return dict(model)
+    return {
+        prefix + name: arr
+        for prefix, params in _parameter_dicts(model)
+        for name, arr in params.items()
+    }
+
+
+def flatten_parameters(model):
+    """Copy every parameter of `model` into one float64 vector, in the order
+    of `model_parameters`, and rebind the model's own dicts in place to
+    reshaped views of it. Returns the vector and each name's (start, stop)."""
+    flat = np.concatenate(
+        [np.ravel(a) for a in model_parameters(model).values()], dtype=np.float64
+    )
+    layout, start = {}, 0
+    for prefix, params in _parameter_dicts(model):
+        for name, arr in params.items():
+            stop = start + np.size(arr)
+            params[name] = flat[start:stop].reshape(np.shape(arr))
+            layout[prefix + name] = (start, stop)
+            start = stop
+    return flat, layout
 
 
 def with_parameters(model, values: dict):

@@ -114,8 +114,8 @@ def _fit(spec, out_dir, header, steps, step_loss, opt, stop_loss=None) -> TrainR
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    state = adam_init(spec, **opt)  # rebinds spec's arrays to views of one vector
     params = model_parameters(spec)
-    state = adam_init(params, **opt)
     metrics = MetricsWriter(out_dir / "metrics.csv", header)
     value = float("nan")
     step = 0

@@ -6,6 +6,7 @@ never changes another suite's trials.
 
 from __future__ import annotations
 
+import functools
 import operator
 import time
 from dataclasses import dataclass, field
@@ -30,7 +31,13 @@ from .models import (
     with_parameters,
 )
 from .autodiff import finite_diff_check
-from .oracle import MAX_ORDER, build_coupled_tensors, degree_probe, eval_explicit
+from .oracle import (
+    MAX_ORDER,
+    as_fractions,
+    build_coupled_tensors,
+    degree_probe,
+    eval_explicit,
+)
 from .rng import stream
 from .tensors import hadamard, khatri_rao_chain
 
@@ -110,15 +117,33 @@ def run_lemma1(seed: int = 0, trials: int = 100) -> SuiteResult:
     )
 
 
-def _joint_ray_probe(rng, forward, dims, expected):
-    base = rng.uniform(-1, 1, sum(dims))
-    direction = rng.uniform(-1, 1, sum(dims))
-    splits = np.cumsum(dims)[:-1]
+def degree_ray(spec: ModelSpec):
+    """`f` and `exact` for `degree_probe` along `spec`'s stacked inputs:
+    `product_compose` on a float vector split by `var_dims`, and the same on
+    Fraction vectors with every parameter a Fraction. `exact` is None when a
+    tanh output or centering keeps the model from being a polynomial in
+    exact arithmetic."""
+    splits = np.cumsum(spec.var_dims)[:-1]
 
     def f(x):
-        return forward(np.split(x, splits))
+        return product_compose(spec, np.split(x, splits))
 
-    return degree_probe(f, base, direction, max_order=expected + 2)
+    if spec.output_activation != "none" or spec.centering != "none":
+        return f, None
+
+    @functools.cache
+    def rational():
+        values = model_parameters(spec).items()
+        return with_parameters(spec, {name: as_fractions(a) for name, a in values})
+
+    return f, lambda x: product_compose(rational(), np.split(x, splits))
+
+
+def _joint_ray_probe(rng, spec, expected):
+    base = rng.uniform(-1, 1, sum(spec.var_dims))
+    direction = rng.uniform(-1, 1, sum(spec.var_dims))
+    f, exact = degree_ray(spec)
+    return degree_probe(f, base, direction, max_order=expected + 2, exact=exact)
 
 
 def run_degree_law(seed: int = 0, instances: int = 20) -> SuiteResult:
@@ -128,10 +153,10 @@ def run_degree_law(seed: int = 0, instances: int = 20) -> SuiteResult:
     mismatches = []
     trials = 0
 
-    def check(label, forward, dims, expected):
+    def check(label, spec, expected):
         nonlocal trials
         trials += 1
-        got = _joint_ray_probe(rng, forward, dims, expected)
+        got = _joint_ray_probe(rng, spec, expected)
         if got != expected:
             mismatches.append({"case": label, "expected": expected, "got": got})
 
@@ -142,24 +167,14 @@ def run_degree_law(seed: int = 0, instances: int = 20) -> SuiteResult:
             o = int(rng.integers(1, 4))
             for kind, init in (("ccp", init_ccp), ("ncp", init_ncp)):
                 spec = _alone(init(rng, (d1, d2), k, o, order))
-                check(
-                    f"{kind} order {order} [{i}]",
-                    lambda zs, s=spec: product_compose(s, zs),
-                    (d1, d2),
-                    order,
-                )
+                check(f"{kind} order {order} [{i}]", spec, order)
     for block_orders in ((2, 2), (2, 2, 2)):
         expected = int(np.prod(block_orders))
         for i in range(instances):
             spec = init_chain(
                 rng, (2, 2), block_orders, rank=3, hidden_dim=3, out_dim=2
             )
-            check(
-                f"chain {block_orders} [{i}]",
-                lambda zs, s=spec: product_compose(s, zs),
-                (2, 2),
-                expected,
-            )
+            check(f"chain {block_orders} [{i}]", spec, expected)
     max_dev = float(
         max((abs(m["got"] - m["expected"]) for m in mismatches), default=0)
     )

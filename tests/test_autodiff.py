@@ -285,6 +285,26 @@ class TestFiniteDiffCheck:
         err = finite_diff_check(f, {"x": np.ones((1, 1))}, h=1e-4)
         assert err == pytest.approx(1e-8 / 3.0, rel=1e-2)
 
+    def test_noise_floor_still_sees_a_wrong_gradient(self):
+        # a large |f| raises the rounding floor to about 4e-4; a gradient of
+        # size 2 that is 1e-4 off is still read at its full relative error
+        def f(p):
+            w = p["w"]
+            scale = 1.0 if hasattr(w, "value") else 1.0 + 1e-4
+            return (w * w * scale).sum() + 100.0
+
+        err = finite_diff_check(f, {"w": np.ones((1, 3))}, h=1e-5)
+        assert err == pytest.approx(1e-4, rel=1e-3)
+
+    def test_gradient_at_the_rounding_noise_is_held_to_that_noise(self):
+        # d/dw of 1 + 1e-9 w is far below what a central difference of a
+        # value near 1 resolves at h = 1e-5 (eps / h, about 2e-11)
+        def f(p):
+            return (p["w"] * 1e-9).sum() + 1.0
+
+        err = finite_diff_check(f, {"w": np.ones((1, 4))}, h=1e-5)
+        assert err < 1e-5
+
     def test_nonfinite_perturbation_names_coordinate(self):
         def f(p):
             x = p["x"]

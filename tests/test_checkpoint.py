@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cope.checkpoint import load_model, save_model
 from cope.models import init_chain, model_parameters, product_compose
 from cope.rng import stream
+from cope.training import train_regression
 
 
 def _chain(seed=0, share=False):
@@ -32,6 +33,22 @@ def test_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(
         product_compose(spec, z), product_compose(back, z)
     )
+
+
+def test_trained_model_saved_from_views_round_trips(tmp_path):
+    # training leaves every array a view into Adam's flat vector
+    spec = _chain(share=True)
+    zs = [np.linspace(-1, 1, 12).reshape(3, 4), np.ones((2, 4))]
+    targets = np.zeros((2, 4))
+    result = train_regression(spec, zs, targets, steps=3, out_dir=tmp_path / "run")
+    assert all(a.base is not None for a in model_parameters(spec).values())
+    back = load_model(result.checkpoint_path)
+    a, b = model_parameters(spec), model_parameters(back)
+    assert a.keys() == b.keys()
+    for name in a:
+        assert a[name].tobytes() == b[name].tobytes(), name
+    save_model(tmp_path / "again.json", back)
+    assert (tmp_path / "again.json").read_bytes() == result.checkpoint_path.read_bytes()
 
 
 def test_round_trip_restores_sharing(tmp_path):

@@ -180,6 +180,19 @@ def test_degree_report_matches_nominal_order(tmp_path, capsys):
     assert "degree along joint ray: 4" in capsys.readouterr().out
 
 
+def test_degree_report_reads_a_deep_chain_exactly(tmp_path):
+    # on seed 125 the float probe alone reads this chain's joint ray as 7
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({
+        "block_orders": [2, 2, 2], "rank": 3, "hidden_dim": 3, "probe_max_order": 10,
+    }))
+    out = tmp_path / "run"
+    argv = ["degree-report", "--config", str(cfgfile), "--seed", "125", "--out", str(out)]
+    assert main(argv) == 0
+    report = json.loads((out / "degree_report.json").read_text())
+    assert report["degrees"] == {"joint": 8, "input0": 8, "input1": 8}
+
+
 def test_cope_out_env_is_default_root(tmp_path, monkeypatch):
     monkeypatch.setenv("COPE_OUT", str(tmp_path / "root"))
     cfg = resolve({}, {"command": "verify", "seed": 3})

@@ -273,12 +273,85 @@ class TestAdam:
         assert state.step == 1
 
     def test_updates_in_place_preserving_aliases(self):
-        w = np.ones(3)
-        params = {"w": w}
+        # adam_init rebinds the model's own arrays to views of one vector;
+        # from then on every step lands in those arrays, in place
+        spec = init_chain(
+            np.random.default_rng(5), (2, 2), (2,), rank=3, hidden_dim=3, out_dim=2
+        )
+        state = adam_init(spec, lr=0.5)
+        params = model_parameters(spec)
+        held = spec.blocks[0].params
+        for _ in range(2):
+            before = {name: a.copy() for name, a in params.items()}
+            adam_step(state, params, {name: np.ones_like(a) for name, a in params.items()})
+            for name, a in model_parameters(spec).items():
+                assert a is params[name] and a is held[name.split(".", 1)[1]]
+                assert np.shares_memory(a, state.flat)
+                assert (a != before[name]).all(), name
+
+    def test_plain_dict_is_rebound_to_views(self):
+        params = {"w": np.ones(3), "b": np.zeros((2, 1))}
         state = adam_init(params, lr=0.5)
-        adam_step(state, params, {"w": np.ones(3)})
-        assert params["w"] is w
-        assert w[0] != 1.0
+        w = params["w"]
+        adam_step(state, params, {"w": np.ones(3), "b": -np.ones((2, 1))})
+        assert params["w"] is w and params["b"].shape == (2, 1)
+        # the first step moves every entry by lr against its gradient's sign
+        np.testing.assert_allclose(state.flat, [0.5, 0.5, 0.5, 0.5, 0.5], atol=1e-8)
+        np.testing.assert_array_equal(state.flat, np.concatenate([w, params["b"][:, 0]]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shapes=st.lists(
+            st.lists(st.integers(1, 4), min_size=0, max_size=3), min_size=1, max_size=6
+        ),
+        steps=st.integers(1, 5),
+        lr=st.floats(1e-4, 1.0),
+        beta1=st.floats(0.0, 0.99),
+        beta2=st.floats(0.5, 0.9999),
+        eps=st.floats(1e-12, 1e-4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_flat_update_is_bitwise_the_per_array_formula(
+        self, shapes, steps, lr, beta1, beta2, eps, seed
+    ):
+        rng = np.random.default_rng(seed)
+        params = {f"p{i}": rng.standard_normal(shape) for i, shape in enumerate(shapes)}
+        ref = {name: np.array(a) for name, a in params.items()}
+        m = {name: np.zeros_like(a) for name, a in ref.items()}
+        v = {name: np.zeros_like(a) for name, a in ref.items()}
+        state = adam_init(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        for t in range(1, steps + 1):
+            grads = {name: rng.standard_normal(a.shape) for name, a in ref.items()}
+            adam_step(state, params, grads)
+            for name, p in ref.items():  # one array at a time, as before the flat vector
+                g = grads[name]
+                m[name] *= beta1
+                m[name] += (1.0 - beta1) * g
+                v[name] *= beta2
+                v[name] += (1.0 - beta2) * g * g
+                m_hat = m[name] / (1.0 - beta1**t)
+                v_hat = v[name] / (1.0 - beta2**t)
+                p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            for name, p in ref.items():
+                assert params[name].tobytes() == p.tobytes(), (name, t)
+
+    def test_shared_conditional_factor_is_one_slice(self):
+        spec = init_chain(
+            np.random.default_rng(6), (3, 2), (3,), rank=4, hidden_dim=3, out_dim=2,
+            share_conditional=True,
+        )
+        state = adam_init(spec)
+        blk = spec.blocks[0]
+        start, stop = state.layout["b0.in1.v1"]
+        assert not any(".v1" in name for name in state.layout if name != "b0.in1.v1")
+        assert stop - start == blk.factor(1, 1).size
+        assert state.flat.size == sum(a.size for a in model_parameters(spec).values())
+        params = model_parameters(spec)
+        adam_step(state, params, {name: np.ones_like(a) for name, a in params.items()})
+        for n in range(1, blk.order + 1):
+            factor = blk.factor(n, 1)
+            assert np.shares_memory(factor, state.flat[start:stop])
+            np.testing.assert_array_equal(factor.reshape(-1), state.flat[start:stop])
 
     def test_missing_gradient_named(self):
         params = {"w": np.ones(1)}

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,30 @@ class TestDegreeProbe:
 
     def test_zero_function(self):
         assert degree_probe(lambda x: np.zeros(3), np.zeros(2), np.ones(2), 4) == 0
+
+    def test_exact_path_reads_a_level_below_the_rounding_floor(self):
+        # the quintic's 5th difference, 120 * 2^-44, sits under its floor
+        c = 2.0**-44
+
+        def f(x):
+            return x[:1] + c * x[:1] ** 5
+
+        def exact(x):
+            return x[:1] + Fraction(c) * x[:1] ** 5
+
+        assert degree_probe(f, np.zeros(1), np.ones(1), max_order=7) == 4
+        assert degree_probe(f, np.zeros(1), np.ones(1), 7, exact=exact) == 5
+
+    def test_exact_path_saturates_at_max_order(self):
+        c = 2.0**-60
+
+        def f(x):
+            return c * x[:1] ** 9
+
+        def exact(x):
+            return Fraction(c) * x[:1] ** 9
+
+        assert degree_probe(f, np.zeros(1), np.ones(1), 3, exact=exact) == 3
 
     def test_saturates_at_max_order(self):
         def f(x):
