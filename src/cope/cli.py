@@ -207,27 +207,17 @@ _RUNNERS = {
 }
 
 
-# Every file each command writes into its output directory. A run unlinks
-# these names first, so each write creates a fresh file: a rerun leaves none
-# of the previous run's artifacts behind, and truncating a file in place,
-# which can stall for tens of milliseconds on ext4, never happens. Other
-# files in the directory are not touched.
-ARTIFACTS = {
-    "verify": ("resolved_config.json", "verify_report.json"),
-    "train-regression": ("resolved_config.json", "metrics.csv", "checkpoint.json"),
-    "train-conditional": (
-        "resolved_config.json", "metrics.csv", "checkpoint.json",
-        "samples.csv", "sweep.csv",
-    ),
-    "degree-report": ("resolved_config.json", "degree_report.json"),
-}
-
-
 def clear_artifacts(out_dir, command: str) -> Path:
-    """Create `out_dir` and unlink the files `command` writes there."""
+    """Create `out_dir` and unlink the files `command` writes there.
+
+    Each write then creates a fresh file: a rerun leaves none of the
+    previous run's artifacts behind, and truncating a file in place, which
+    can stall for tens of milliseconds on ext4, never happens. Other files
+    in the directory are not touched.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name in ARTIFACTS[command]:
+    for name in ("resolved_config.json", *COMMANDS[command].artifacts):
         (out_dir / name).unlink(missing_ok=True)
     return out_dir
 
@@ -238,11 +228,12 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     return _RUNNERS[cfg.command](cfg, out_dir)
 
 
-_HELP = {
-    "verify": "run the numerical verification suites and write a report",
-    "train-regression": "fit a polynomial chain to a regression task",
-    "train-conditional": "train a class-conditional generator (MMD or GAN)",
-    "degree-report": "probe the configured model's numerical degree",
+# the extra flags a command record can name, by the config field each sets
+_FLAGS = {
+    "steps": ("--steps", dict(type=int, metavar="N", help="training steps")),
+    "suites": ("--suite", dict(
+        action="append", metavar="NAME", help="run only the named suite (repeatable)"
+    )),
 }
 
 
@@ -253,44 +244,29 @@ def build_parser() -> argparse.ArgumentParser:
         "verification suites and desk-scale training runs",
     )
     sub = p.add_subparsers(dest="command", required=True, metavar="command")
-    for name in COMMANDS:
-        sp = sub.add_parser(name, help=_HELP[name])
+    for name, command in COMMANDS.items():
+        # unset flags stay off the namespace, so it holds only overrides
+        sp = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
         sp.add_argument(
             "--config", metavar="PATH",
             help="JSON config file; flags override its keys",
         )
         sp.add_argument("--seed", type=int, metavar="U64", help="master seed")
         sp.add_argument(
-            "--out", metavar="DIR",
+            "--out", dest="output_dir", metavar="DIR",
             help="output directory (default $COPE_OUT/<command>-seed<seed>)",
         )
-        if name.startswith("train"):
-            sp.add_argument("--steps", type=int, metavar="N", help="training steps")
-        if name == "verify":
-            sp.add_argument(
-                "--suite", action="append", metavar="NAME",
-                help="run only the named suite (repeatable)",
-            )
+        for field in command.flags:
+            flag, kwargs = _FLAGS[field]
+            sp.add_argument(flag, dest=field, **kwargs)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    overrides = {"command": args.command}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    if getattr(args, "steps", None) is not None:
-        overrides["steps"] = args.steps
-    if getattr(args, "suite", None):
-        overrides["suites"] = tuple(args.suite)
+    overrides = vars(build_parser().parse_args(argv))
+    config = overrides.pop("config", None)
     try:
-        file_values = load_file(args.config) if args.config else {}
-        # the global default task is conditional; regression gets its own
-        if args.command == "train-regression" and "task" not in file_values:
-            overrides["task"] = "poly-regression"
-        cfg = resolve(file_values, overrides)
+        cfg = resolve(load_file(config) if config else {}, overrides)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -17,7 +17,39 @@ class ConfigError(ValueError):
     pass
 
 
-COMMANDS = ("verify", "train-regression", "train-conditional", "degree-report")
+_TASKS = ("cond-point-cloud", "poly-regression", "downsample-1d")
+
+
+@dataclass(frozen=True)
+class Command:
+    """What one `cope` subcommand is. `artifacts` are the files it writes
+    besides resolved_config.json, `tasks` the tasks it runs with its
+    default first, and `flags` the config fields its extra flags set."""
+
+    help: str
+    artifacts: tuple
+    tasks: tuple = _TASKS
+    flags: tuple = ()
+
+
+COMMANDS = {
+    "verify": Command(
+        "run the numerical verification suites and write a report",
+        ("verify_report.json",), flags=("suites",),
+    ),
+    "train-regression": Command(
+        "fit a polynomial chain to a regression task",
+        ("metrics.csv", "checkpoint.json"), ("poly-regression", "downsample-1d"), ("steps",),
+    ),
+    "train-conditional": Command(
+        "train a class-conditional generator (MMD or GAN)",
+        ("metrics.csv", "checkpoint.json", "samples.csv", "sweep.csv"),
+        ("cond-point-cloud",), ("steps",),
+    ),
+    "degree-report": Command(
+        "probe the configured model's numerical degree", ("degree_report.json",)
+    ),
+}
 
 
 @dataclass
@@ -33,7 +65,7 @@ class ExperimentConfig:
     output_activation: str = "none"  # none | tanh
     centering: str = "none"  # none | batch_mean
     # task
-    task: str = "cond-point-cloud"  # | poly-regression | downsample-1d
+    task: str = "cond-point-cloud"  # | poly-regression | downsample-1d; see resolve
     n_classes: int = 4
     cluster_radius: float = 0.6
     cluster_std: float = 0.05
@@ -67,19 +99,13 @@ class ExperimentConfig:
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 
 _ENUMS = {
-    "command": COMMANDS,
+    "command": tuple(COMMANDS),
     "variant": ("ccp", "ncp", "additive"),
     "output_activation": ("none", "tanh"),
     "centering": ("none", "batch_mean"),
-    "task": ("cond-point-cloud", "poly-regression", "downsample-1d"),
+    "task": _TASKS,
     "noise_kind": ("uniform", "gaussian"),
     "loss": ("mmd", "gan"),
-}
-
-# the tasks each training command can run; the other commands take any task
-_COMMAND_TASKS = {
-    "train-regression": ("poly-regression", "downsample-1d"),
-    "train-conditional": ("cond-point-cloud",),
 }
 
 _POSITIVE_INTS = (
@@ -112,10 +138,6 @@ def _coerce(name: str, value):
         if isinstance(value, bool):
             return value
         raise ConfigError(f"field '{name}' must be a boolean, got {value!r}")
-    if name == "stop_mse" and value is None:
-        return None
-    if name == "output_dir" and value is None:
-        return None
     return value
 
 
@@ -134,7 +156,7 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(
                 f"field '{name}' must be one of {list(allowed)}, got {v!r}"
             )
-    tasks = _COMMAND_TASKS.get(cfg.command, _ENUMS["task"])
+    tasks = COMMANDS[cfg.command].tasks
     if cfg.task not in tasks:
         raise ConfigError(
             f"field 'task' must be one of {list(tasks)} for command "
@@ -197,7 +219,8 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
 def resolve(file_values: dict | None, overrides: dict | None = None) -> ExperimentConfig:
     """Merge defaults <- config file <- explicit overrides, then validate.
 
-    Unknown keys are rejected by name.
+    Unknown keys are rejected by name. A `task` no source sets is the
+    command's default task.
     """
     merged = {}
     for source in (file_values or {}), (overrides or {}):
@@ -212,6 +235,8 @@ def resolve(file_values: dict | None, overrides: dict | None = None) -> Experime
                 raise ConfigError(f"field '{name}' must be an integer")
             merged[name] = int(merged[name])
     cfg = ExperimentConfig(**merged)
+    if "task" not in merged and cfg.command in _ENUMS["command"]:
+        cfg.task = COMMANDS[cfg.command].tasks[0]
     return validate(cfg)
 
 
@@ -228,7 +253,5 @@ def load_file(path) -> dict:
 
 
 def dump_resolved(cfg: ExperimentConfig, path) -> None:
-    doc = dataclasses.asdict(cfg)
-    doc["block_orders"] = list(cfg.block_orders)
-    doc["suites"] = list(cfg.suites)
+    doc = dataclasses.asdict(cfg)  # tuples dump as JSON lists
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

@@ -280,46 +280,39 @@ def _uniform(rng, shape, scale):
     return rng.uniform(-scale, scale, size=shape)
 
 
-def _input_factors(rng, input_dims, rank, order, share, scale):
-    # A shared block still draws the conditional factors it drops, so
-    # sharing does not shift the stream for the parameters drawn after.
-    factors = {}
-    for n in range(1, order + 1):
-        for phi, d in enumerate(input_dims):
-            m = _uniform(rng, (d, rank), scale)
-            if not (share and n > 1 and phi == 1):
-                factors[f"in{n}.v{phi}"] = m
-    return factors
+def _draw_block(rng, kind, input_dims, rank, out_dim, order, share):
+    """A `kind` block that consumes variables 0..len(input_dims)-1, drawn
+    in the order of its unshared `_layout`: factors, states, offsets and
+    head uniformly in +-1/sqrt(rank), seeds ones, head bias zeros; its
+    offsets are `rank` wide. A shared block still draws the conditional
+    factors it drops, so sharing does not shift the stream for the
+    parameters drawn after."""
+    scale = 1.0 / np.sqrt(rank)
+    params = {}
+    layout = _layout(kind, order, input_dims, rank, rank, out_dim, False)
+    for name, shape in layout.items():
+        if name.startswith("seed"):
+            params[name] = np.ones(shape)
+        elif name == "head_bias":
+            params[name] = np.zeros(shape)
+        else:
+            params[name] = _uniform(rng, shape, scale)
+    if share:
+        kept = _layout(kind, order, input_dims, 0, 0, 0, share)
+        params = {name: params[name] for name in kept}
+    return ChainBlock(kind, params, False, tuple(range(len(input_dims))), share)
 
 
 def init_ccp(rng, input_dims, rank, out_dim, order, share_conditional=False):
     """A ccp block that consumes variables 0..len(input_dims)-1, drawn
     uniformly in +-1/sqrt(rank)."""
-    scale = 1.0 / np.sqrt(rank)
-    params = _input_factors(rng, input_dims, rank, order, share_conditional, scale)
-    params["head"] = _uniform(rng, (out_dim, rank), scale)
-    params["head_bias"] = np.zeros(out_dim)
-    return ChainBlock(
-        "ccp", params, False, tuple(range(len(input_dims))), share_conditional
-    )
+    return _draw_block(rng, "ccp", input_dims, rank, out_dim, order, share_conditional)
 
 
 def init_ncp(rng, input_dims, rank, out_dim, order, share_conditional=False):
     """An ncp block that consumes variables 0..len(input_dims)-1, drawn
     uniformly in +-1/sqrt(rank); its offsets are `rank` wide."""
-    scale = 1.0 / np.sqrt(rank)
-    params = _input_factors(rng, input_dims, rank, order, share_conditional, scale)
-    for n in range(2, order + 1):
-        params[f"state{n}"] = _uniform(rng, (rank, rank), scale)
-    for n in range(1, order + 1):
-        params[f"off{n}"] = _uniform(rng, (rank, rank), scale)
-    for n in range(1, order + 1):
-        params[f"seed{n}"] = np.ones(rank)
-    params["head"] = _uniform(rng, (out_dim, rank), scale)
-    params["head_bias"] = np.zeros(out_dim)
-    return ChainBlock(
-        "ncp", params, False, tuple(range(len(input_dims))), share_conditional
-    )
+    return _draw_block(rng, "ncp", input_dims, rank, out_dim, order, share_conditional)
 
 
 def init_concat_linear(rng, input_dims, out_dim):
@@ -344,7 +337,6 @@ def init_chain(
     previous output plus (optionally) the conditional variables again."""
     var_dims = tuple(int(d) for d in var_dims)
     cond_vars = tuple(range(1, len(var_dims)))
-    init = init_ccp if kind == "ccp" else init_ncp
     blocks = []
     prev = None
     for i, order in enumerate(block_orders):
@@ -358,8 +350,7 @@ def init_chain(
         share = share_conditional and len(dims) >= 2
         blocks.append(
             replace(
-                init(rng, dims, rank, width, order, share_conditional=share),
-                kind=kind,
+                _draw_block(rng, kind, dims, rank, width, order, share),
                 consume_prev=consume_prev,
                 consume_vars=consume_vars,
             )

@@ -7,6 +7,7 @@ rerun with the same seed and config produces byte-identical files.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from .losses import (
 )
 from .models import (
     ModelSpec,
+    _layout,
     discriminator_forward,
     init_discriminator,
     lift_model,
@@ -86,23 +88,14 @@ def count_parameters(model) -> int:
 
 
 def matched_additive_rank(var_dims, order, out_dim, target_count) -> int:
-    """Rank in 1..128 whose additive-recursion parameter count is closest
-    to target."""
-    d_sum = int(sum(var_dims))
-    best_rank, best_gap = 1, None
-    for k in range(1, 129):
-        count = (
-            order * d_sum * k
-            + (order - 1) * k * k
-            + order * k * k
-            + order * k
-            + out_dim * k
-            + out_dim
-        )
-        gap = abs(count - target_count)
-        if best_gap is None or gap < best_gap:
-            best_rank, best_gap = k, gap
-    return best_rank
+    """Rank in 1..128 whose additive block over `var_dims` has the
+    parameter count closest to target; the lowest such rank on a tie."""
+
+    def count(rank):
+        layout = _layout("additive", order, var_dims, rank, rank, out_dim, False)
+        return sum(math.prod(shape) for shape in layout.values())
+
+    return min(range(1, 129), key=lambda rank: abs(count(rank) - target_count))
 
 
 def _fit(spec, out_dir, header, steps, step_loss, opt, stop_loss=None) -> TrainResult:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cope.cli import ARTIFACTS, main, resolve_output_dir
+from cope.cli import _RUNNERS, build_parser, main, resolve_output_dir
 from cope.config import COMMANDS, resolve
 
 # a conditional generator small enough for a step to take milliseconds
@@ -236,12 +236,29 @@ def _tiny_run(tmp_path, command, out, *extra, **values):
     return main(argv + list(extra))  # a repeated flag's last value wins
 
 
+def _artifacts(command):
+    return ("resolved_config.json", *COMMANDS[command].artifacts)
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_artifact_table_lists_exactly_what_each_command_writes(tmp_path, command):
-    assert set(ARTIFACTS) == set(COMMANDS)
     out = tmp_path / "run"
     assert _tiny_run(tmp_path, command, out) == 0
-    assert sorted(os.listdir(out)) == sorted(ARTIFACTS[command])
+    assert sorted(os.listdir(out)) == sorted(_artifacts(command))
+
+
+def test_every_command_has_a_runner():
+    assert list(_RUNNERS) == list(COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_parser_flags_follow_the_command_record(command):
+    sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
+    flags = [f for a in sub._actions for f in a.option_strings if f not in ("-h", "--help")]
+    extra = {"steps": "--steps", "suites": "--suite"}
+    assert flags == ["--config", "--seed", "--out"] + [
+        extra[field] for field in COMMANDS[command].flags
+    ]
 
 
 def test_rerun_writes_fresh_files_not_in_place(tmp_path):
@@ -249,7 +266,7 @@ def test_rerun_writes_fresh_files_not_in_place(tmp_path):
     side.mkdir()
     assert _tiny_run(tmp_path, "train-conditional", out, "--seed", "1") == 0
     old = {}
-    for name in ARTIFACTS["train-conditional"]:
+    for name in _artifacts("train-conditional"):
         os.link(out / name, side / name)
         old[name] = (side / name).read_bytes()
     assert _tiny_run(tmp_path, "train-conditional", out, "--seed", "2") == 0

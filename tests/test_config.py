@@ -17,6 +17,15 @@ def test_defaults_resolve():
     assert cfg.block_orders == (2,)
 
 
+@pytest.mark.parametrize(
+    "command, task",
+    [("verify", "cond-point-cloud"), ("train-regression", "poly-regression"),
+     ("train-conditional", "cond-point-cloud"), ("degree-report", "cond-point-cloud")],
+)
+def test_resolve_fills_the_command_default_task(command, task):
+    assert resolve({}, {"command": command}).task == task
+
+
 def test_unknown_key_rejected_by_name():
     with pytest.raises(ConfigError, match="unknown config field\\(s\\): ranks"):
         resolve({"ranks": 4}, {})

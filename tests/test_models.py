@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -365,3 +367,52 @@ class TestParameterWalk:
         z = [np.ones(3), np.ones(2)]
         np.testing.assert_array_equal(product_compose(swapped, z), np.zeros(2))
         assert np.any(product_compose(spec, z) != 0)
+
+
+def _draw_digest(model, rng):
+    """Leading 16 hex digits of a sha256 over each parameter's name and
+    float64 bytes, in order, then the stream's next draw, so both the
+    values and where the draws left the stream are pinned."""
+    h = hashlib.sha256()
+    for name, arr in model_parameters(model).items():
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(arr, np.float64).tobytes())
+    h.update(rng.random(1).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "init, dims, share, digest",
+    [
+        (init_ccp, (3, 2), False, "8c428cde606c7d9f"),
+        (init_ccp, (3, 2), True, "2d9cf3d2370256d1"),
+        (init_ccp, (3, 2, 4), False, "3c9dd58d331fb8a0"),
+        (init_ccp, (3, 2, 4), True, "1a7c6d56d67b683d"),
+        (init_ncp, (3, 2), False, "9bf72e435e6e0631"),
+        (init_ncp, (3, 2), True, "d50161b9061a8fad"),
+        (init_ncp, (3, 2, 4), False, "5cdbe772d864855f"),
+        (init_ncp, (3, 2, 4), True, "185966b57c87e01f"),
+    ],
+)
+def test_block_draw_order_is_pinned(init, dims, share, digest):
+    # verify draws its trial blocks from this stream, so it must not move
+    rng = np.random.default_rng(5)
+    block = init(rng, dims, 3, 2, 3, share_conditional=share)
+    assert _draw_digest(block, rng) == digest
+
+
+@pytest.mark.parametrize(
+    "share, digest",
+    [
+        (False, "9109bef756bfb4fe"),
+        (True, "21c0af01d482d96d"),
+    ],
+)
+def test_additive_chain_draw_order_is_pinned(share, digest):
+    rng = np.random.default_rng(5)
+    spec = init_chain(
+        rng, (3, 2), (2, 3), rank=3, hidden_dim=4, out_dim=2, kind="additive",
+        share_conditional=share,
+    )
+    assert [b.kind for b in spec.blocks] == ["additive", "additive"]
+    assert _draw_digest(spec, rng) == digest
