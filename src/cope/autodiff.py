@@ -44,6 +44,13 @@ class Tape:
     def constant(self, value) -> "Var":
         return self._push("leaf", value)
 
+    def custom(self, value, inputs, vjp) -> "Var":
+        """A node computed off the tape from the Vars `inputs`; `vjp(g)`
+        returns each input's gradient, in order."""
+        if any(v.tape is not self for v in inputs):
+            raise ValueError("operands live on different tapes")
+        return self._push("custom", value, [v.nid for v in inputs], ctx=vjp)
+
 
 class Var:
     """Handle to one tape node; supports the operators the models need."""
@@ -242,6 +249,7 @@ _RULES: dict[str, Callable] = {
     "sum": _sum_backward,
     "reshape": lambda n, g, v: (np.reshape(g, n.ctx),),
     "concat_rows": _concat_backward,
+    "custom": lambda n, g, v: n.ctx(g),
 }
 
 
@@ -287,18 +295,29 @@ def backward(tape: Tape, out: Var, seed=None) -> dict[str, np.ndarray]:
     return result
 
 
+# The relative error finite_diff_check holds a gradient to, which its noise
+# floors are scaled by.
+FD_TOLERANCE = 1e-5
+
+
 def finite_diff_check(f, params: dict, h: float = 1e-5) -> float:
     """Max relative error between tape gradients and central differences.
 
     `f` must accept a dict of parameter arrays or of Vars and return a
     scalar of matching kind. The relative error denominator is
-    max(|analytic|, |fd|, 1e-8, 2e5 * eps * |f| / h) per coordinate.
+    max(|analytic|, |fd|, 1e-8, floor) per coordinate.
 
-    The last term is the difference's own rounding noise, about
-    2 eps |f| / h, over a 1e-5 relative error: a gradient too small for the
-    difference to resolve to 1e-5 is held to that noise in absolute terms.
-    It exceeds 1e-8, and so changes anything, only when that noise exceeds
-    the 1e-13 that the fixed floor allows at 1e-5.
+    `floor` is the difference's own rounding noise, about 2 eps |f| / h,
+    over FD_TOLERANCE: a gradient too small for the difference to resolve
+    to FD_TOLERANCE is held to that noise in absolute terms. It exceeds
+    1e-8, and so changes anything, only when that noise exceeds the 1e-13
+    that the fixed floor allows at 1e-5.
+
+    A coordinate whose error reaches FD_TOLERANCE is redone with the
+    Richardson difference (4 D(h/2) - D(h)) / 3, whose truncation error is
+    O(h^4), not O(h^2), and whose rounding noise is three times D(h)'s. Its
+    error is the one reported. A wrong gradient is as far from either
+    difference, so it still shows in full.
     """
     params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
     tape = Tape()
@@ -306,27 +325,36 @@ def finite_diff_check(f, params: dict, h: float = 1e-5) -> float:
     if not isinstance(out, Var) or out.value.size != 1:
         raise ValueError("finite_diff_check needs a scalar-valued graph output")
     analytic = backward(tape, out, np.ones_like(out.value))
-    noise_floor = 2e5 * float(np.finfo(np.float64).eps) * abs(out.value.item()) / h
-
-    def eval_at(work, label):
-        val = np.asarray(f(work), dtype=np.float64)
-        if val.size != 1 or not np.isfinite(val).all():
-            raise ValueError(f"non-finite or non-scalar value while perturbing {label}")
-        return float(val.reshape(()))
+    # 2 / FD_TOLERANCE rounded to the integer it stands for, 2e5 exactly
+    floor = round(2 / FD_TOLERANCE) * float(np.finfo(np.float64).eps)
+    floor = floor * abs(out.value.item()) / h
 
     work = {k: v.copy() for k, v in params.items()}
+
+    def central(flat, i, step, label):
+        orig, values = flat[i], []
+        for x in (orig + step, orig - step):
+            flat[i] = x
+            val = np.asarray(f(work), dtype=np.float64)
+            if val.size != 1 or not np.isfinite(val).all():
+                raise ValueError(f"non-finite or non-scalar value while perturbing {label}")
+            values.append(float(val.reshape(())))
+        flat[i] = orig
+        return (values[0] - values[1]) / (2.0 * step)
+
+    def rel_error(a, fd, floor):
+        return abs(a - fd) / max(abs(a), abs(fd), 1e-8, floor)
+
     max_rel = 0.0
     for name, arr in work.items():
         flat = arr.reshape(-1)
         a_flat = np.asarray(analytic[name]).reshape(-1)
         for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = eval_at(work, f"{name}[{i}]")
-            flat[i] = orig - h
-            fm = eval_at(work, f"{name}[{i}]")
-            flat[i] = orig
-            fd = (fp - fm) / (2.0 * h)
-            rel = abs(a_flat[i] - fd) / max(abs(a_flat[i]), abs(fd), 1e-8, noise_floor)
+            label = f"{name}[{i}]"
+            fd = central(flat, i, h, label)
+            rel = rel_error(a_flat[i], fd, floor)
+            if rel >= FD_TOLERANCE:
+                fd = (4.0 * central(flat, i, h / 2.0, label) - fd) / 3.0
+                rel = rel_error(a_flat[i], fd, 3.0 * floor)
             max_rel = max(max_rel, rel)
     return max_rel

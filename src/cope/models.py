@@ -2,10 +2,12 @@
 
 A block is a `ChainBlock`: its kind, wiring and sharing, plus an ordered
 name -> array dict of its parameters. Every forward runs on column batches
-(features x batch) and is written against the operator set shared by
-ndarrays and autodiff Vars, so the same code is evaluated by the
-brute-force oracles and differentiated during training. `product_compose`
-also accepts plain 1-D vectors.
+(features x batch), and the same code is evaluated by the brute-force
+oracles and differentiated during training: the ccp and ncp recursions
+compute on plain arrays and, given Vars, push one tape node with a
+hand-written VJP; the rest is written against the operator set shared by
+ndarrays and autodiff Vars. `product_compose` also accepts plain 1-D
+vectors.
 """
 
 from __future__ import annotations
@@ -72,9 +74,13 @@ class ChainBlock:
 
     def factor(self, n, phi):
         """Order-n factor of input phi (both counted as in the names)."""
-        if phi == 1 and self.share_conditional:
-            n = 1
-        return self.params[f"in{n}.v{phi}"]
+        return self.params[_factor_name(n, phi, self.share_conditional)]
+
+
+def _factor_name(n, phi, share):
+    """Name of the order-n factor of input phi; with `share`, input 1 has
+    one factor, `in1.v1`, for every order."""
+    return f"in{1 if phi == 1 and share else n}.v{phi}"
 
 
 def _layout(kind, order, input_dims, rank, width, out_dim, share):
@@ -106,7 +112,13 @@ def _check_block(blk: ChainBlock, input_dims, who):
     if order < 1:
         raise ValueError(f"{who} needs at least one order")
     p = blk.params
-    want = _layout(blk.kind, order, input_dims, 0, 0, 0, share)
+    # 0 where absent or short of dimensions; read only once the names and
+    # dimension counts have passed
+    rank, width, out_dim = (
+        (*np.shape(p.get(name, ())), 0, 0)[axis]
+        for name, axis in (("in1.v0", 1), ("seed1", 0), ("head", 0))
+    )
+    want = _layout(blk.kind, order, input_dims, rank, width, out_dim, share)
     if set(want) != set(p):
         missing = [name for name in want if name not in p]
         unexpected = [name for name in p if name not in want]
@@ -119,11 +131,7 @@ def _check_block(blk: ChainBlock, input_dims, who):
                 f"{who}: parameter '{name}' has shape {_shape(p[name])}, "
                 f"expected {len(shape)} dimension(s)"
             )
-    width = p["seed1"].shape[0] if "seed1" in p else 0
-    rank, out_dim = p["in1.v0"].shape[1], p["head"].shape[0]
-    for name, shape in _layout(
-        blk.kind, order, input_dims, rank, width, out_dim, share
-    ).items():
+    for name, shape in want.items():
         if _shape(p[name]) != shape:
             raise ValueError(
                 f"{who}: parameter '{name}' has shape {_shape(p[name])}, "
@@ -163,34 +171,134 @@ def _col(vec):
     return vec.reshape((vec.shape[0], 1))
 
 
-def _linear_mix(blk, n, inputs):
-    acc = tmatmul(blk.factor(n, 0), inputs[0])
-    for phi in range(1, len(inputs)):
-        acc = acc + tmatmul(blk.factor(n, phi), inputs[phi])
+def _value(x):
+    return x.value if isinstance(x, Var) else x
+
+
+def _plain(blk, inputs):
+    """`blk`'s parameters and `inputs` as plain arrays, and the Vars among
+    them: parameters keyed by name, inputs by position. Plain arguments
+    come back as they are, at the cost of one scan."""
+    named = (*blk.params.items(), *enumerate(inputs))
+    leaves = {key: v for key, v in named if isinstance(v, Var)}
+    if not leaves:
+        return blk.params, inputs, leaves
+    p = {name: _value(a) for name, a in blk.params.items()}
+    return p, [_value(z) for z in inputs], leaves
+
+
+def _mix(p, zs, n, share):
+    """sum_phi U_n,phi^T z_phi."""
+    acc = p[_factor_name(n, 0, share)].T @ zs[0]
+    for phi in range(1, len(zs)):
+        acc = acc + p[_factor_name(n, phi, share)].T @ zs[phi]
     return acc
+
+
+def _plus(prev, contrib):
+    return contrib if prev is None else prev + contrib
+
+
+def _mix_vjp(p, zs, n, share, g, grads):
+    """Sum the order-n mix's factor and input gradients into `grads`, the
+    last input first. Called for n = N..1, this is the order in which a
+    tape of single ops would sum a shared factor's or an input's parts,
+    so the sums round alike."""
+    for phi in range(len(zs) - 1, -1, -1):
+        name = _factor_name(n, phi, share)
+        if name in grads:
+            grads[name] = _plus(grads[name], (g @ zs[phi].T).T)
+        if phi in grads:
+            grads[phi] = _plus(grads[phi], p[name] @ g)
+
+
+def _head_vjp(p, y, g, grads):
+    """Fill the gradients of `head @ y + head_bias`; return y's."""
+    if "head_bias" in grads:
+        grads["head_bias"] = g.sum(axis=1)
+    if "head" in grads:
+        grads["head"] = g @ y.T
+    return p["head"].T @ g
+
+
+def _block_node(leaves, out, vjp):
+    """`out` as one tape node over the Vars `leaves`; `vjp(grads, g)` fills
+    a dict keyed as `leaves` with their gradients. No closure here holds a
+    Var: one that reached its own tape would keep it alive until a GC pass."""
+    keys = list(leaves)
+
+    def rule(g):
+        grads = dict.fromkeys(keys)
+        vjp(grads, g)
+        return tuple(grads.values())
+
+    vars_ = list(leaves.values())
+    return vars_[0].tape.custom(out, vars_, rule)
 
 
 def ccp_forward_cols(blk: ChainBlock, inputs):
     """Multiplicative-skip recursion y_n = y_{n-1} + (sum_phi U_n,phi^T z_phi) * y_{n-1};
-    with one input variable it is the Pi-net recursion."""
-    p = blk.params
-    y = _linear_mix(blk, 1, inputs)
-    for n in range(2, blk.order + 1):
-        y = y + _linear_mix(blk, n, inputs) * y
-    return p["head"] @ y + _col(p["head_bias"])
+    with one input variable it is the Pi-net recursion. When any parameter
+    or input is a Var, one tape node whose VJP runs the recursion backwards."""
+    p, zs, leaves = _plain(blk, inputs)
+    order, share = blk.order, blk.share_conditional
+    ys, mixes = [_mix(p, zs, 1, share)], [None]
+    for n in range(2, order + 1):
+        mixes.append(_mix(p, zs, n, share))
+        ys.append(ys[-1] + mixes[-1] * ys[-1])
+    out = p["head"] @ ys[-1] + _col(p["head_bias"])
+    if not leaves:
+        return out
+
+    def vjp(grads, g):
+        g_y = _head_vjp(p, ys[-1], g, grads)
+        for n in range(order, 1, -1):
+            _mix_vjp(p, zs, n, share, g_y * ys[n - 2], grads)
+            g_y = g_y + g_y * mixes[n - 1]
+        _mix_vjp(p, zs, 1, share, g_y, grads)
+
+    return _block_node(leaves, out, vjp)
 
 
 def ncp_forward_cols(blk: ChainBlock, inputs, combine):
     """Gated recursion y_n = (sum_phi A_n,phi^T z_phi) * (V_n^T y_{n-1} + B_n^T b_n),
-    with `combine` as the `*`; `operator.add` gives the additive ablation."""
-    p = blk.params
-    y = combine(_linear_mix(blk, 1, inputs), tmatmul(p["off1"], _col(p["seed1"])))
-    for n in range(2, blk.order + 1):
-        y = combine(
-            _linear_mix(blk, n, inputs),
-            tmatmul(p[f"state{n}"], y) + tmatmul(p[f"off{n}"], _col(p[f"seed{n}"])),
-        )
-    return p["head"] @ y + _col(p["head_bias"])
+    with `combine` as the `*`; `operator.add` gives the additive ablation.
+    When any parameter or input is a Var, one tape node whose VJP runs the
+    recursion backwards."""
+    if combine not in (operator.mul, operator.add):
+        raise ValueError("ncp_forward_cols combines with operator.mul or operator.add")
+    p, zs, leaves = _plain(blk, inputs)
+    order, share = blk.order, blk.share_conditional
+    ys, lefts, rights = [], [], []
+    for n in range(1, order + 1):
+        lefts.append(_mix(p, zs, n, share))
+        offset = p[f"off{n}"].T @ _col(p[f"seed{n}"])
+        rights.append(offset if n == 1 else p[f"state{n}"].T @ ys[-1] + offset)
+        ys.append(combine(lefts[-1], rights[-1]))
+    out = p["head"] @ ys[-1] + _col(p["head_bias"])
+    if not leaves:
+        return out
+
+    def vjp(grads, g):
+        g_y = _head_vjp(p, ys[-1], g, grads)
+        for n in range(order, 0, -1):
+            g_left, g_right = g_y, g_y
+            if combine is operator.mul:
+                g_left, g_right = g_y * rights[n - 1], g_y * lefts[n - 1]
+            # the offset is one column, broadcast over the batch
+            g_off = g_right.sum(axis=1, keepdims=True)
+            off, seed = f"off{n}", f"seed{n}"
+            if off in grads:
+                grads[off] = (g_off @ _col(p[seed]).T).T
+            if seed in grads:
+                grads[seed] = np.reshape(p[off] @ g_off, p[seed].shape)
+            if n > 1:
+                if f"state{n}" in grads:
+                    grads[f"state{n}"] = (g_right @ ys[n - 2].T).T
+                g_y = p[f"state{n}"] @ g_right
+            _mix_vjp(p, zs, n, share, g_left, grads)
+
+    return _block_node(leaves, out, vjp)
 
 
 def spade_forward_cols(blk: ChainBlock, z_noise, z_cond):

@@ -285,6 +285,27 @@ class TestFiniteDiffCheck:
         err = finite_diff_check(f, {"x": np.ones((1, 1))}, h=1e-4)
         assert err == pytest.approx(1e-8 / 3.0, rel=1e-2)
 
+    def test_truncation_past_the_tolerance_is_redone(self):
+        # at h = 1e-2 the central difference of x^3 at 1 is 3 + 1e-4, a
+        # 3.3e-5 error; the Richardson difference of a cubic is exact
+        def f(p):
+            x = p["x"]
+            return (x * x * x).sum()
+
+        err = finite_diff_check(f, {"x": np.ones((1, 1))}, h=1e-2)
+        assert err < 1e-9
+
+    def test_a_wrong_gradient_still_fails_after_the_redo(self):
+        # the tape's gradient of x^3 at 1 is 1e-4 off; the central difference
+        # alone would read 6.7e-5, the redone one reads the full 1e-4
+        def f(p):
+            x = p["x"]
+            scale = 1.0 + 1e-4 if hasattr(x, "value") else 1.0
+            return (x * x * x * scale).sum()
+
+        err = finite_diff_check(f, {"x": np.ones((1, 1))}, h=1e-2)
+        assert err == pytest.approx(1e-4, rel=1e-3)
+
     def test_noise_floor_still_sees_a_wrong_gradient(self):
         # a large |f| raises the rounding floor to about 4e-4; a gradient of
         # size 2 that is 1e-4 off is still read at its full relative error

@@ -264,4 +264,6 @@ def test_mmd_step_tape_has_no_transpose_and_few_nodes(tmp_path, monkeypatch):
     assert len(tapes) == 2
     for ops in tapes:
         assert "transpose" not in ops
-        assert len(ops) <= 80
+        # 12 parameter leaves, one node per block, then tanh and the MMD loss
+        assert ops.count("custom") == 2
+        assert len(ops) == 36

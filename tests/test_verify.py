@@ -16,8 +16,9 @@ def test_degree_law_passes(seed):
 
 # The tanh chain's smallest gradients (about 1e-8) sat at the central
 # difference's rounding noise, which the fixed 1e-8 floor read as a 1.2e-5
-# relative error.
-@pytest.mark.parametrize("seed", [225, 537, 584, 1251])
+# relative error. On seed 1685 the difference's h^2 truncation read 1.25e-5;
+# the Richardson redo of that coordinate removes it.
+@pytest.mark.parametrize("seed", [225, 537, 584, 1251, 1685])
 def test_gradients_pass(seed):
     result = run_gradients(seed)
     assert result.passed, result.max_deviation
