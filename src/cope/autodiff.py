@@ -8,6 +8,7 @@ accumulation walks node ids in reverse, so the order is deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -317,7 +318,7 @@ def finite_diff_check(f, params: dict, h: float = 1e-5) -> float:
     Richardson difference (4 D(h/2) - D(h)) / 3, whose truncation error is
     O(h^4), not O(h^2), and whose rounding noise is three times D(h)'s. Its
     error is the one reported. A wrong gradient is as far from either
-    difference, so it still shows in full.
+    difference, so it still shows in full. A NaN gradient reads NaN.
     """
     params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
     tape = Tape()
@@ -353,8 +354,10 @@ def finite_diff_check(f, params: dict, h: float = 1e-5) -> float:
             label = f"{name}[{i}]"
             fd = central(flat, i, h, label)
             rel = rel_error(a_flat[i], fd, floor)
-            if rel >= FD_TOLERANCE:
+            if not rel < FD_TOLERANCE:
                 fd = (4.0 * central(flat, i, h / 2.0, label) - fd) / 3.0
                 rel = rel_error(a_flat[i], fd, 3.0 * floor)
-            max_rel = max(max_rel, rel)
+            # max() would drop a NaN; a NaN error is kept and returned
+            if rel > max_rel or math.isnan(rel):
+                max_rel = rel
     return max_rel

@@ -7,9 +7,10 @@ never changes another suite's trials.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -50,18 +51,64 @@ class SuiteResult:
     tolerance: float
     passed: bool
     seconds: float
-    details: dict = field(default_factory=dict)
+    details: dict
 
     def report_row(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-            "verdict": "pass" if self.passed else "fail",
-            "seconds": round(self.seconds, 3),
-            **({"details": self.details} if self.details else {}),
-        }
+        row = {k: v for k, v in vars(self).items() if k != "passed"}
+        verdict = "pass" if self.passed else "fail"
+        return {**row, "verdict": verdict, "seconds": round(self.seconds, 3)}
+
+
+@dataclass
+class Worst:
+    """A suite's trial count, its largest deviation and the witness of the
+    first trial that reached it. A NaN deviation counts as the largest, and
+    the first NaN is the one kept."""
+
+    trials: int = 0
+    deviation: float = 0.0
+    witness: dict | None = None
+
+    def add(self, dev, **witness) -> None:
+        """Count one trial whose deviation is `dev`, named by `witness`."""
+        self.trials += 1
+        dev = float(dev)
+        # `not dev <= max` holds for a larger dev and for NaN; a NaN max stays
+        if self.trials == 1 or not (math.isnan(self.deviation) or dev <= self.deviation):
+            self.deviation, self.witness = dev, witness
+
+
+SUITES = {}
+
+
+def _suite(name: str, stream_index: int, tolerance: float):
+    """Register the decorated body as suite `name` and return its runner.
+
+    The runner takes `seed` and the body's size keywords. It hands the body
+    `stream(seed, "verify", stream_index)` and a `Worst` to report each
+    trial to, and times the run. A body may return `(details, holds)`: extra
+    report details and a further condition the suite must meet. The suite
+    passes when its largest deviation is below `tolerance` or exactly 0,
+    so a tolerance of 0 means exact and a NaN fails.
+    """
+
+    def register(body):
+        @functools.wraps(body)
+        def run(seed: int = 0, **sizes) -> SuiteResult:
+            t0 = time.perf_counter()
+            worst = Worst()
+            rng = stream(seed, "verify", stream_index)
+            details, holds = body(rng, worst, **sizes) or ({}, True)
+            dev = worst.deviation
+            passed = holds and (dev < tolerance or dev == 0.0)
+            seconds = time.perf_counter() - t0
+            details = {**details, "worst": worst.witness}
+            return SuiteResult(name, worst.trials, dev, tolerance, passed, seconds, details)
+
+        SUITES[name] = run
+        return run
+
+    return register
 
 
 def _alone(blk: ChainBlock) -> ModelSpec:
@@ -69,12 +116,10 @@ def _alone(blk: ChainBlock) -> ModelSpec:
     return ModelSpec(blk.input_dims, [blk])
 
 
-def run_claim1(seed: int = 0, draws: int = 100, pairs: int = 20) -> SuiteResult:
+@_suite("claim1-equivalence", 0, 1e-9)
+def run_claim1(rng, worst, draws: int = 100, pairs: int = 20):
     """Coupled ccp blocks of every order over two or three variables equal
     their materialized tensors."""
-    t0 = time.perf_counter()
-    rng = stream(seed, "verify", 0)
-    max_dev = 0.0
     for i in range(draws):
         order = int(rng.integers(1, MAX_ORDER + 1))
         n_vars = int(rng.integers(2, 4))
@@ -84,26 +129,16 @@ def run_claim1(seed: int = 0, draws: int = 100, pairs: int = 20) -> SuiteResult:
         p.params["head_bias"] = rng.uniform(-1.0, 1.0, o)
         oracle = build_coupled_tensors(p)
         spec = _alone(p)
-        for _ in range(pairs):
+        for j in range(pairs):
             zs = [rng.uniform(-1, 1, d) for d in dims]
             dev = np.max(np.abs(eval_explicit(oracle, zs) - product_compose(spec, zs)))
-            max_dev = max(max_dev, float(dev))
-    return SuiteResult(
-        "claim1-equivalence",
-        draws * pairs,
-        max_dev,
-        1e-9,
-        max_dev < 1e-9,
-        time.perf_counter() - t0,
-    )
+            worst.add(dev, draw=i, pair=j, order=order, dims=dims)
 
 
-def run_lemma1(seed: int = 0, trials: int = 100) -> SuiteResult:
+@_suite("lemma1", 1, 1e-10)
+def run_lemma1(rng, worst, trials: int = 100):
     """Khatri-Rao transpose products collapse to Hadamard chains."""
-    t0 = time.perf_counter()
-    rng = stream(seed, "verify", 1)
-    max_dev = 0.0
-    for _ in range(trials):
+    for t in range(trials):
         n = int(rng.integers(2, 4))
         rows = rng.integers(1, 7, size=n)
         k, l = (int(v) for v in rng.integers(1, 7, size=2))
@@ -111,10 +146,7 @@ def run_lemma1(seed: int = 0, trials: int = 100) -> SuiteResult:
         b = [rng.uniform(-1, 1, (int(r), l)) for r in rows]
         lhs = khatri_rao_chain(a).T @ khatri_rao_chain(b)
         rhs = reduce(hadamard, (ai.T @ bi for ai, bi in zip(a, b)))
-        max_dev = max(max_dev, float(np.max(np.abs(lhs - rhs))))
-    return SuiteResult(
-        "lemma1", trials, max_dev, 1e-10, max_dev < 1e-10, time.perf_counter() - t0
-    )
+        worst.add(np.max(np.abs(lhs - rhs)), trial=t, rows=rows.tolist())
 
 
 def degree_ray(spec: ModelSpec):
@@ -139,24 +171,18 @@ def degree_ray(spec: ModelSpec):
     return f, lambda x: product_compose(rational(), np.split(x, splits))
 
 
-def _joint_ray_probe(rng, spec, expected):
-    base = rng.uniform(-1, 1, sum(spec.var_dims))
-    direction = rng.uniform(-1, 1, sum(spec.var_dims))
-    f, exact = degree_ray(spec)
-    return degree_probe(f, base, direction, max_order=expected + 2, exact=exact)
-
-
-def run_degree_law(seed: int = 0, instances: int = 20) -> SuiteResult:
+@_suite("degree-law", 2, 0.0)
+def run_degree_law(rng, worst, instances: int = 20):
     """Recursion depth sets the polynomial degree; chained blocks multiply it."""
-    t0 = time.perf_counter()
-    rng = stream(seed, "verify", 2)
     mismatches = []
-    trials = 0
 
     def check(label, spec, expected):
-        nonlocal trials
-        trials += 1
-        got = _joint_ray_probe(rng, spec, expected)
+        """Probe `spec` along one random joint input ray."""
+        base = rng.uniform(-1, 1, sum(spec.var_dims))
+        direction = rng.uniform(-1, 1, sum(spec.var_dims))
+        f, exact = degree_ray(spec)
+        got = degree_probe(f, base, direction, max_order=expected + 2, exact=exact)
+        worst.add(abs(got - expected), case=label)
         if got != expected:
             mismatches.append({"case": label, "expected": expected, "got": got})
 
@@ -175,18 +201,7 @@ def run_degree_law(seed: int = 0, instances: int = 20) -> SuiteResult:
                 rng, (2, 2), block_orders, rank=3, hidden_dim=3, out_dim=2
             )
             check(f"chain {block_orders} [{i}]", spec, expected)
-    max_dev = float(
-        max((abs(m["got"] - m["expected"]) for m in mismatches), default=0)
-    )
-    return SuiteResult(
-        "degree-law",
-        trials,
-        max_dev,
-        0.0,
-        not mismatches,
-        time.perf_counter() - t0,
-        details={"mismatches": mismatches} if mismatches else {},
-    )
+    return ({"mismatches": mismatches} if mismatches else {}), True
 
 
 def _silence_last_input(blk: ChainBlock) -> ChainBlock:
@@ -203,12 +218,10 @@ def _silence_last_input(blk: ChainBlock) -> ChainBlock:
     )
 
 
-def run_reductions(seed: int = 0, instances: int = 50) -> SuiteResult:
+@_suite("reductions", 3, 1e-12)
+def run_reductions(rng, worst, instances: int = 50):
     """Zeroed or renormalized couplings collapse to the simpler recursions."""
-    t0 = time.perf_counter()
-    rng = stream(seed, "verify", 3)
-    max_dev = 0.0
-    for _ in range(instances):
+    for i in range(instances):
         d1, d2, k, o = (int(v) for v in rng.integers(2, 5, size=4))
         order = int(rng.integers(2, 4))
         # multiplicative-skip recursion with a silent second input: the
@@ -221,7 +234,7 @@ def run_reductions(seed: int = 0, instances: int = 50) -> SuiteResult:
         # gated recursion pinned to the conditioning-by-gating layout
         g = init_ncp(rng, (d1, d2), k, o, order)
         cfg = _alone(spade_config(g))
-        for _ in range(3):
+        for j in range(3):
             z1, z2 = rng.uniform(-1, 1, d1), rng.uniform(-1, 1, d2)
             z3 = np.zeros(d2)
             spade = spade_forward_cols(g, z1[:, None], z2[:, None])[:, 0]
@@ -231,27 +244,19 @@ def run_reductions(seed: int = 0, instances: int = 50) -> SuiteResult:
                 - product_compose(first_two, [z1, z2]),
                 product_compose(cfg, [z1, z2]) - spade,
             ]
-            for diff in diffs:
-                max_dev = max(max_dev, float(np.max(np.abs(diff))))
-    return SuiteResult(
-        "reductions",
-        instances * 3,
-        max_dev,
-        1e-12,
-        max_dev < 1e-12,
-        time.perf_counter() - t0,
-    )
+            devs = [np.max(np.abs(diff)) for diff in diffs]
+            r = int(np.argmax(devs))  # the first NaN, if any
+            reduction = ("pi-net", "two-variable", "spade")[r]
+            worst.add(devs[r], instance=i, draw=j, reduction=reduction)
 
 
-def run_affineness(seed: int = 0, rays: int = 50) -> SuiteResult:
+@_suite("affineness", 4, 1e-9)
+def run_affineness(rng, worst, rays: int = 50):
     """Additive and concat baselines have vanishing second differences on
     every ray; a generic multiplicative recursion of order >= 2 does not."""
-    t0 = time.perf_counter()
-    rng = stream(seed, "verify", 4)
     d1, d2, k, o = 4, 3, 5, 3
-    baseline_max = 0.0
     curved = 0
-    for _ in range(rays):
+    for r in range(rays):
         order = int(rng.integers(2, 4))
         add = init_ncp(rng, (d1, d2), k, o, order)
         lin = init_concat_linear(rng, (d1, d2), o)
@@ -266,29 +271,22 @@ def run_affineness(seed: int = 0, rays: int = 50) -> SuiteResult:
             ]
             return abs(vals[0] - 2.0 * vals[1] + vals[2])
 
-        baseline_max = max(
-            baseline_max,
+        baselines = [
             second_diff(
                 lambda zs: ncp_forward_cols(add, [z[:, None] for z in zs], operator.add)
             ),
             second_diff(lambda zs: concat_linear_forward(lin, zs)),
-        )
+        ]
+        b = int(np.argmax(baselines))  # the first NaN, if any
+        worst.add(baselines[b], ray=r, baseline=("additive", "concat")[b])
         if second_diff(lambda zs: product_compose(ccp, zs)) > 1e-3:
             curved += 1
     fraction = curved / rays
-    passed = baseline_max < 1e-9 and fraction >= 0.95
-    return SuiteResult(
-        "affineness",
-        rays,
-        baseline_max,
-        1e-9,
-        passed,
-        time.perf_counter() - t0,
-        details={"curved_fraction": fraction},
-    )
+    return {"curved_fraction": fraction}, fraction >= 0.95
 
 
-def run_gradients(seed: int = 0, instances: int = 20) -> SuiteResult:
+@_suite("gradients", 5, 1e-5)
+def run_gradients(rng, worst, instances: int = 20):
     """Tape gradients agree with central differences for every variant.
 
     Parameters and inputs are drawn at half scale. Each parameter of the
@@ -299,32 +297,28 @@ def run_gradients(seed: int = 0, instances: int = 20) -> SuiteResult:
     still shows in full. The tanh chain has truncation error and keeps
     the step 1e-5.
     """
-    t0 = time.perf_counter()
-    rng = stream(seed, "verify", 5)
-    max_err = 0.0
     batch = 3
-    poly_h = 1e-3
-    for _ in range(instances):
+    for i in range(instances):
         d1, d2, k, o = 3, 2, 3, 2
         z = [rng.uniform(-0.5, 0.5, (d1, batch)), rng.uniform(-0.5, 0.5, (d2, batch))]
         zs = rng.uniform(-0.5, 0.5, (d1, batch))
-        cases = []
-        ccp = init_ccp(rng, (d1, d2), k, o, order=3)
-        cases.append((ccp, lambda m: ccp_forward_cols(m, z), poly_h))
-        ncp = init_ncp(rng, (d1, d2), k, o, order=3)
-        cases.append((ncp, lambda m: ncp_forward_cols(m, z, operator.mul), poly_h))
-        single = init_ccp(rng, (d1,), k, o, order=3)
-        cases.append((single, lambda m: ccp_forward_cols(m, [zs]), poly_h))
-        add = init_ncp(rng, (d1, d2), k, o, order=3)
-        cases.append((add, lambda m: ncp_forward_cols(m, z, operator.add), poly_h))
-        spd = init_ncp(rng, (d1, d2), k, o, order=3)
-        cases.append((spd, lambda m: spade_forward_cols(m, z[0], z[1]), poly_h))
-        chain = init_chain(
-            rng, (d1, d2), (2, 2), rank=k, hidden_dim=3, out_dim=o,
-            output_activation="tanh",
-        )
-        cases.append((chain, lambda m: product_compose(m, z), 1e-5))
-        for model, forward, h in cases:
+        cases = {  # name: (model, forward)
+            "ccp": (init_ccp(rng, (d1, d2), k, o, order=3),
+                    lambda m: ccp_forward_cols(m, z)),
+            "ncp": (init_ncp(rng, (d1, d2), k, o, order=3),
+                    lambda m: ncp_forward_cols(m, z, operator.mul)),
+            "pi-net": (init_ccp(rng, (d1,), k, o, order=3),
+                       lambda m: ccp_forward_cols(m, [zs])),
+            "additive": (init_ncp(rng, (d1, d2), k, o, order=3),
+                         lambda m: ncp_forward_cols(m, z, operator.add)),
+            "spade": (init_ncp(rng, (d1, d2), k, o, order=3),
+                      lambda m: spade_forward_cols(m, z[0], z[1])),
+            "tanh chain": (init_chain(rng, (d1, d2), (2, 2), rank=k, hidden_dim=3,
+                                      out_dim=o, output_activation="tanh"),
+                           lambda m: product_compose(m, z)),
+        }
+        for case, (model, forward) in cases.items():
+            h = 1e-5 if case == "tanh chain" else 1e-3
             arrays = model_parameters(model)
             for arr in arrays.values():
                 arr *= 0.5
@@ -333,25 +327,7 @@ def run_gradients(seed: int = 0, instances: int = 20) -> SuiteResult:
                 out = forward(with_parameters(model, values))
                 return (out * out).sum()
 
-            max_err = max(max_err, finite_diff_check(f, arrays, h=h))
-    return SuiteResult(
-        "gradients",
-        instances * 6,
-        max_err,
-        1e-5,
-        max_err < 1e-5,
-        time.perf_counter() - t0,
-    )
-
-
-SUITES = {
-    "claim1-equivalence": run_claim1,
-    "lemma1": run_lemma1,
-    "degree-law": run_degree_law,
-    "reductions": run_reductions,
-    "affineness": run_affineness,
-    "gradients": run_gradients,
-}
+            worst.add(finite_diff_check(f, arrays, h=h), case=case, instance=i)
 
 
 def run_suites(names=None, seed: int = 0) -> list[SuiteResult]:

@@ -326,6 +326,25 @@ class TestFiniteDiffCheck:
         err = finite_diff_check(f, {"w": np.ones((1, 4))}, h=1e-5)
         assert err < 1e-5
 
+    def test_a_nan_gradient_reads_nan(self):
+        # a custom node whose VJP is NaN in the first coordinate and right in
+        # the others: the NaN error is neither passed as small nor dropped by
+        # the later, smaller ones
+        def f(p):
+            x = p["x"]
+            if not hasattr(x, "value"):
+                return (x * 2.0).sum()
+
+            def vjp(g):
+                grad = 2.0 * g
+                grad[0, 0] = np.nan
+                return [grad]
+
+            return x.tape.custom(2.0 * x.value, [x], vjp).sum()
+
+        err = finite_diff_check(f, {"x": np.ones((1, 3))}, h=1e-5)
+        assert np.isnan(err)
+
     def test_nonfinite_perturbation_names_coordinate(self):
         def f(p):
             x = p["x"]

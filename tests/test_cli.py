@@ -30,6 +30,7 @@ def test_verify_subset_writes_report(tmp_path, capsys):
     assert {"trials", "max_deviation", "tolerance", "seconds"} <= set(
         report["results"][0]
     )
+    assert report["results"][0]["details"]["worst"].keys() == {"trial", "rows"}
     assert (out / "resolved_config.json").exists()
     assert "lemma1: PASS" in capsys.readouterr().out
 

@@ -1,9 +1,21 @@
-"""Seeds on which a verify suite once failed. Each pin names the defect it
-guards against; every suite must pass on every seed."""
+"""Seeds on which a verify suite once failed, each pin naming the defect it
+guards against (every suite must pass on every seed); the frame every suite
+shares; and the seed sweep script."""
+
+import csv
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cope.verify import run_degree_law, run_gradients
+from cope import verify
+from cope.verify import (
+    SUITES, run_claim1, run_degree_law, run_gradients, run_reductions, run_suites,
+)
 
 
 # A (2, 2, 2) chain's degree-8 level sat below the float probe's rounding
@@ -22,3 +34,69 @@ def test_degree_law_passes(seed):
 def test_gradients_pass(seed):
     result = run_gradients(seed)
     assert result.passed, result.max_deviation
+
+
+# -- the shared frame: one worst-trial record for every suite --------------
+
+
+def test_a_nan_deviation_fails_and_names_the_first_nan_trial(monkeypatch):
+    # calls 2 and 7 are pi-net in instance 0 and ncp in instance 1; a larger
+    # finite deviation after the first NaN does not displace it
+    values = iter([1e-6, 0.0, math.nan, 0.0, 0.0, 1.0, 0.0, math.nan] + [0.0] * 4)
+    monkeypatch.setattr(verify, "finite_diff_check", lambda *a, **k: next(values))
+    result = run_gradients(0, instances=2)
+    assert result.trials == 12
+    assert not result.passed
+    assert math.isnan(result.max_deviation)
+    assert result.details["worst"] == {"case": "pi-net", "instance": 0}
+
+
+def test_a_nan_forward_fails_claim1(monkeypatch):
+    monkeypatch.setattr(verify, "eval_explicit", lambda oracle, zs: math.nan)
+    result = run_claim1(seed=0, draws=3, pairs=2)
+    assert (result.trials, result.passed) == (6, False)
+    assert math.isnan(result.max_deviation)
+    assert {"draw": 0, "pair": 0}.items() <= result.details["worst"].items()
+
+
+def test_reductions_names_its_worst_reduction():
+    worst = run_reductions(seed=3).report_row()["details"]["worst"]
+    assert worst.keys() == {"instance", "draw", "reduction"}
+    assert worst["reduction"] in ("pi-net", "two-variable", "spade")
+
+
+def test_suite_order_changes_no_suite_row():
+    def rows(names):
+        return [
+            {k: v for k, v in r.report_row().items() if k != "seconds"}
+            for r in run_suites(names, seed=4)
+        ]
+
+    forward, backward = rows(["gradients", "lemma1"]), rows(["lemma1", "gradients"])
+    assert [r["suite"] for r in forward] == ["gradients", "lemma1"]
+    assert forward == backward[::-1]
+
+
+def test_sweep_writes_one_row_per_seed_and_suite_and_reruns_identically(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = tmp_path / "sweep"
+
+    def sweep():
+        subprocess.run(
+            [sys.executable, str(root / "scripts" / "verify_sweep.py"),
+             "2", "2-2", "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        return (out / "verify_sweep.csv").read_bytes()
+
+    first = sweep()
+    rows = list(csv.DictReader(first.decode().splitlines()))
+    assert [r["suite"] for r in rows] == list(SUITES)
+    assert {r["seed"] for r in rows} == {"2"}
+    assert all(r["verdict"] == "pass" for r in rows)
+    assert all(isinstance(json.loads(r["worst"]), dict) for r in rows)
+    os.link(out / "verify_sweep.csv", tmp_path / "old.csv")
+    assert sweep() == first
+    # a rerun writes a fresh file instead of truncating the old one in place
+    assert not os.path.samefile(tmp_path / "old.csv", out / "verify_sweep.csv")
