@@ -301,12 +301,15 @@ def backward(tape: Tape, out: Var, seed=None) -> dict[str, np.ndarray]:
 FD_TOLERANCE = 1e-5
 
 
-def finite_diff_check(f, params: dict, h: float = 1e-5) -> float:
+def finite_diff_check(f, model, h: float = 1e-5) -> float:
     """Max relative error between tape gradients and central differences.
 
-    `f` must accept a dict of parameter arrays or of Vars and return a
-    scalar of matching kind. The relative error denominator is
-    max(|analytic|, |fd|, 1e-8, floor) per coordinate.
+    `model` is a ModelSpec, a ChainBlock or a name -> array dict; `f` takes
+    one of the same kind, with arrays or Vars, and returns a scalar of
+    matching kind. The differences perturb, one coordinate at a time in
+    `model_parameters` order, a copy of the model whose arrays are views of
+    one flat vector; the caller's arrays are never touched. The relative
+    error denominator is max(|analytic|, |fd|, 1e-8, floor) per coordinate.
 
     `floor` is the difference's own rounding noise, about 2 eps |f| / h,
     over FD_TOLERANCE: a gradient too small for the difference to resolve
@@ -320,9 +323,11 @@ def finite_diff_check(f, params: dict, h: float = 1e-5) -> float:
     error is the one reported. A wrong gradient is as far from either
     difference, so it still shows in full. A NaN gradient reads NaN.
     """
-    params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
+    # imported here: models imports this module
+    from .models import flatten_parameters, lift_model, model_parameters, with_parameters
+
     tape = Tape()
-    out = f({k: tape.param(k, v) for k, v in params.items()})
+    out = f(lift_model(tape, model))
     if not isinstance(out, Var) or out.value.size != 1:
         raise ValueError("finite_diff_check needs a scalar-valued graph output")
     analytic = backward(tape, out, np.ones_like(out.value))
@@ -330,15 +335,21 @@ def finite_diff_check(f, params: dict, h: float = 1e-5) -> float:
     floor = round(2 / FD_TOLERANCE) * float(np.finfo(np.float64).eps)
     floor = floor * abs(out.value.item()) / h
 
-    work = {k: v.copy() for k, v in params.items()}
+    work = with_parameters(model, model_parameters(model))
+    flat, layout = flatten_parameters(work)
+    a_flat = np.concatenate([np.ravel(analytic[name]) for name in layout])
 
-    def central(flat, i, step, label):
+    def label(i):
+        name, start = next((n, a) for n, (a, b) in layout.items() if i < b)
+        return f"{name}[{i - start}]"
+
+    def central(i, step):
         orig, values = flat[i], []
         for x in (orig + step, orig - step):
             flat[i] = x
             val = np.asarray(f(work), dtype=np.float64)
             if val.size != 1 or not np.isfinite(val).all():
-                raise ValueError(f"non-finite or non-scalar value while perturbing {label}")
+                raise ValueError(f"non-finite or non-scalar value while perturbing {label(i)}")
             values.append(float(val.reshape(())))
         flat[i] = orig
         return (values[0] - values[1]) / (2.0 * step)
@@ -347,17 +358,13 @@ def finite_diff_check(f, params: dict, h: float = 1e-5) -> float:
         return abs(a - fd) / max(abs(a), abs(fd), 1e-8, floor)
 
     max_rel = 0.0
-    for name, arr in work.items():
-        flat = arr.reshape(-1)
-        a_flat = np.asarray(analytic[name]).reshape(-1)
-        for i in range(flat.size):
-            label = f"{name}[{i}]"
-            fd = central(flat, i, h, label)
-            rel = rel_error(a_flat[i], fd, floor)
-            if not rel < FD_TOLERANCE:
-                fd = (4.0 * central(flat, i, h / 2.0, label) - fd) / 3.0
-                rel = rel_error(a_flat[i], fd, 3.0 * floor)
-            # max() would drop a NaN; a NaN error is kept and returned
-            if rel > max_rel or math.isnan(rel):
-                max_rel = rel
+    for i in range(flat.size):
+        fd = central(i, h)
+        rel = rel_error(a_flat[i], fd, floor)
+        if not rel < FD_TOLERANCE:
+            fd = (4.0 * central(i, h / 2.0) - fd) / 3.0
+            rel = rel_error(a_flat[i], fd, 3.0 * floor)
+        # max() would drop a NaN; a NaN error is kept and returned
+        if rel > max_rel or math.isnan(rel):
+            max_rel = rel
     return max_rel

@@ -213,6 +213,9 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(
             f"field 'suites' names unknown suite(s) {unknown}; available: {list(SUITES)}"
         )
+    repeated = [s for i, s in enumerate(cfg.suites) if s in cfg.suites[:i]]
+    if repeated:
+        raise ConfigError(f"field 'suites' names suite(s) {repeated} more than once")
     return cfg
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ChainBlock
+from .models import ChainBlock, _prep_inputs
 from .tensors import khatri_rao_chain, mode_m_fold
 
 MAX_DIM = 8
@@ -106,28 +106,25 @@ class OracleParams:
 def eval_explicit(params: OracleParams, inputs) -> np.ndarray:
     """Evaluate the expansion by contracting every tensor mode by mode.
 
-    Terms are accumulated in ascending key order so summation is
-    reproducible bit for bit.
+    `inputs` are vectors or column batches, as for `product_compose`. Each
+    mode is one matrix-vector product per column, batch axis first, so a
+    column evaluates as it would alone. Terms are accumulated in ascending
+    key order so summation is reproducible bit for bit.
     """
-    inputs = [np.asarray(z, dtype=np.float64) for z in inputs]
-    if len(inputs) != len(params.input_dims):
-        raise ValueError(
-            f"expected {len(params.input_dims)} inputs, got {len(inputs)}"
-        )
-    for i, (z, d) in enumerate(zip(inputs, params.input_dims)):
-        if z.shape != (d,):
-            raise ValueError(f"input {i} has shape {z.shape}, expected ({d},)")
-    out = params.bias.copy()
+    cols, squeeze = _prep_inputs(inputs, params.input_dims, "eval_explicit")
+    # each column contiguous: a strided one can round unlike the vector alone
+    zs = [np.ascontiguousarray(z.T)[:, :, None] for z in cols]
+    out = params.bias
     for key in sorted(params.tensors):
-        term = params.tensors[key]
+        term = params.tensors[key][None]
         # contract the last mode each time, as np.tensordot does it
         for phi in reversed(mode_variables(key)):
-            z = inputs[phi]
-            term = np.dot(term.reshape(-1, z.shape[0]), z.reshape(-1, 1)).reshape(
-                term.shape[:-1]
+            z = zs[phi]
+            term = np.matmul(term.reshape(term.shape[0], -1, z.shape[1]), z).reshape(
+                (z.shape[0],) + term.shape[1:-1]
             )
         out = out + term
-    return out
+    return out[0] if squeeze else np.ascontiguousarray(out.T)
 
 
 def build_coupled_tensors(blk: ChainBlock) -> OracleParams:

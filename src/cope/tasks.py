@@ -101,15 +101,7 @@ def make_poly_regression(
         bias=rng.uniform(-1.0, 1.0, size=out_dim),
     )
     inputs = [rng.uniform(-1.0, 1.0, (in_dim, n_samples)) for _ in range(2)]
-
-    def evaluate(p):
-        cols = [
-            eval_explicit(p, [inputs[0][:, i], inputs[1][:, i]])
-            for i in range(n_samples)
-        ]
-        return np.stack(cols, axis=1)
-
-    raw = evaluate(params)
+    raw = eval_explicit(params, inputs)
     scale = float(np.std(raw))
     scale = scale if scale > 1e-8 else 1.0
     scaled = OracleParams(
@@ -119,7 +111,7 @@ def make_poly_regression(
         tensors={k: v / scale for k, v in params.tensors.items()},
         bias=params.bias / scale - raw.mean(axis=1) / scale,
     )
-    return PolyRegression(target=scaled, inputs=inputs, outputs=evaluate(scaled))
+    return PolyRegression(target=scaled, inputs=inputs, outputs=eval_explicit(scaled, inputs))
 
 
 @dataclass

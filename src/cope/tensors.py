@@ -1,7 +1,8 @@
 """Dense tensor algebra used by the polynomial evaluators.
 
 Tensors are C-contiguous float64 ndarrays; modes are numbered from 1.
-Mode-m unfolding maps element (i_1, ..., i_M) to row i_m and column
+Mode-m unfolding, which `mode_m_fold` inverts, maps element
+(i_1, ..., i_M) to row i_m and column
 j = 1 + sum_{k != m} (i_k - 1) * J_k with J_k = prod_{n < k, n != m} I_n,
 so the first remaining mode varies fastest along a row.
 """
@@ -13,27 +14,13 @@ from functools import reduce
 import numpy as np
 
 
-def _as_tensor(t) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(t, dtype=np.float64))
-
-
-def _check_mode(m: int, order: int) -> None:
-    if not 1 <= m <= order:
-        raise ValueError(f"mode {m} out of range for an order-{order} tensor")
-
-
-def mode_m_unfold(t, m: int) -> np.ndarray:
-    """Matricize `t` along mode `m` (1-based), columns in the layout above."""
-    t = _as_tensor(t)
-    _check_mode(m, t.ndim)
-    return np.reshape(np.moveaxis(t, m - 1, 0), (t.shape[m - 1], -1), order="F")
-
-
 def mode_m_fold(mat, m: int, shape) -> np.ndarray:
-    """Inverse of :func:`mode_m_unfold` for a tensor of the given shape."""
+    """The tensor of the given shape whose mode-`m` unfolding (1-based,
+    columns in the layout above) is `mat`."""
     mat = np.asarray(mat, dtype=np.float64)
     shape = tuple(int(s) for s in shape)
-    _check_mode(m, len(shape))
+    if not 1 <= m <= len(shape):
+        raise ValueError(f"mode {m} out of range for an order-{len(shape)} tensor")
     if mat.shape != (shape[m - 1], int(np.prod(shape)) // shape[m - 1]):
         raise ValueError(
             f"unfolded shape {mat.shape} does not match mode-{m} of {shape}"

@@ -128,10 +128,11 @@ def run_claim1(rng, worst, draws: int = 100, pairs: int = 20):
         p = init_ccp(rng, dims, k, o, order, share_conditional=i % 2 == 1)
         p.params["head_bias"] = rng.uniform(-1.0, 1.0, o)
         oracle = build_coupled_tensors(p)
-        spec = _alone(p)
-        for j in range(pairs):
-            zs = [rng.uniform(-1, 1, d) for d in dims]
-            dev = np.max(np.abs(eval_explicit(oracle, zs) - product_compose(spec, zs)))
+        # row j holds pair j's variables in turn, as drawn one pair at a time
+        x = rng.uniform(-1, 1, (pairs, sum(dims)))
+        zs = np.split(x.T, np.cumsum(dims)[:-1])
+        diff = eval_explicit(oracle, zs) - product_compose(_alone(p), zs)
+        for j, dev in enumerate(np.max(np.abs(diff), axis=0)):
             worst.add(dev, draw=i, pair=j, order=order, dims=dims)
 
 
@@ -319,15 +320,14 @@ def run_gradients(rng, worst, instances: int = 20):
         }
         for case, (model, forward) in cases.items():
             h = 1e-5 if case == "tanh chain" else 1e-3
-            arrays = model_parameters(model)
-            for arr in arrays.values():
+            for arr in model_parameters(model).values():
                 arr *= 0.5
 
-            def f(values, model=model, forward=forward):
-                out = forward(with_parameters(model, values))
+            def f(m, forward=forward):
+                out = forward(m)
                 return (out * out).sum()
 
-            worst.add(finite_diff_check(f, arrays, h=h), case=case, instance=i)
+            worst.add(finite_diff_check(f, model, h=h), case=case, instance=i)
 
 
 def run_suites(names=None, seed: int = 0) -> list[SuiteResult]:

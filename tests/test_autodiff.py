@@ -11,7 +11,14 @@ from cope.autodiff import (
     tanh,
     tmatmul,
 )
-from cope.models import init_chain, init_ccp, lift_model, product_compose
+from cope.models import (
+    ccp_forward_cols,
+    init_ccp,
+    init_chain,
+    lift_model,
+    model_parameters,
+    product_compose,
+)
 
 
 class TestOpValues:
@@ -355,6 +362,32 @@ class TestFiniteDiffCheck:
 
         with pytest.raises(ValueError, match=r"perturbing x\[1\]"):
             finite_diff_check(f, {"x": np.array([[1.0, 1.49999]])}, h=1e-4)
+
+    @pytest.mark.parametrize("whole", [True, False], ids=["model", "block"])
+    def test_a_model_is_checked_on_a_copy(self, whole):
+        # f gets a model of the caller's kind, never the caller's own; the
+        # caller's arrays stay the same objects with the same bytes
+        rng = np.random.default_rng(56)
+        spec = init_chain(rng, (3, 2), (2, 2), rank=3, hidden_dim=3, out_dim=2)
+        model = spec if whole else spec.blocks[0]
+        z = [rng.uniform(-0.5, 0.5, (3, 4)), rng.uniform(-0.5, 0.5, (2, 4))]
+        forward = product_compose if whole else ccp_forward_cols
+        arrays = model_parameters(model)
+        before = {name: a.tobytes() for name, a in arrays.items()}
+        seen = []
+
+        def f(m):
+            seen.append(m)
+            out = forward(m, z)
+            return (out * out).sum()
+
+        assert finite_diff_check(f, model, h=1e-4) < 1e-5
+        assert all(type(m) is type(model) and m is not model for m in seen)
+        after = model_parameters(model)
+        assert after.keys() == arrays.keys()
+        for name, a in arrays.items():
+            assert after[name] is a
+            assert a.tobytes() == before[name]
 
     def test_hadamard_heavy_chain_stays_finite(self):
         rng = np.random.default_rng(55)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cope.cli import main
 from cope.config import (
     ConfigError,
     ExperimentConfig,
@@ -118,3 +119,12 @@ def test_signal_length_must_divide_by_factor():
     with pytest.raises(ConfigError, match="'signal_length'.*'downsample_factor'"):
         resolve({"task": "downsample-1d", "signal_length": 30}, {})
     resolve({"task": "downsample-1d", "signal_length": 32, "downsample_factor": 8}, {})
+
+
+def test_a_suite_named_twice_is_rejected(tmp_path):
+    with pytest.raises(ConfigError, match=r"'suites' names suite\(s\) \['lemma1'\] more"):
+        resolve({"suites": ["lemma1", "gradients", "lemma1"]}, {})
+    out = tmp_path / "verify"
+    argv = ["verify", "--suite", "lemma1", "--suite", "lemma1", "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()

@@ -115,11 +115,14 @@ class TestEvalExplicit:
         )
 
     def test_input_validation(self):
+        # the checks and messages of the models' input contract
         params = ones_oracle(1, (2, 2))
-        with pytest.raises(ValueError, match="expected 2 inputs, got 3"):
+        with pytest.raises(ValueError, match=r"expects 2 input\(s\), got 3"):
             eval_explicit(params, [np.zeros(2)] * 3)
-        with pytest.raises(ValueError, match=r"input 1 has shape \(3,\)"):
+        with pytest.raises(ValueError, match=r"input 1 has shape \(3, 1\)"):
             eval_explicit(params, [np.zeros(2), np.zeros(3)])
+        with pytest.raises(ValueError, match="a mix of vectors and batches"):
+            eval_explicit(params, [np.zeros(2), np.zeros((2, 4))])
 
 
 class TestOracleParamsValidation:
@@ -213,11 +216,17 @@ class TestCoupledTensorBuild:
             p.params["head_bias"] = rng.uniform(-1, 1, o)
             oracle = build_coupled_tensors(p)
             spec = ModelSpec(dims, [p])
-            for _ in range(3):
-                zs = [rng.uniform(-1, 1, d) for d in dims]
+            draws = [[rng.uniform(-1, 1, d) for d in dims] for _ in range(3)]
+            for zs in draws:
                 np.testing.assert_allclose(
                     eval_explicit(oracle, zs), product_compose(spec, zs), atol=1e-9
                 )
+            # the three draws as one column batch: each column as it was alone
+            batch = [np.stack(z, axis=1) for z in zip(*draws)]
+            np.testing.assert_array_equal(
+                eval_explicit(oracle, batch),
+                np.stack([eval_explicit(oracle, zs) for zs in draws], axis=1),
+            )
 
     def test_rejects_higher_order(self):
         rng = np.random.default_rng(25)
