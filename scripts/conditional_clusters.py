@@ -9,11 +9,9 @@ from pathlib import Path
 
 import numpy as np
 
-from cope.cli import clear_artifacts
-from cope.models import init_chain
-from cope.rng import stream
-from cope.tasks import make_cond_point_cloud, nearest_center
-from cope.training import train_conditional
+from cope.cli import cluster_task, run_experiment
+from cope.config import resolve
+from cope.tasks import nearest_center
 
 
 def main():
@@ -26,23 +24,22 @@ def main():
                     default=Path(os.environ.get("COPE_OUT", "cope_runs")) / "conditional_clusters")
     args = ap.parse_args()
 
-    task = make_cond_point_cloud(args.classes, 0.6, 0.05)
-    spec = init_chain(
-        stream(args.seed, "init"), (args.noise_dim, args.classes), (2, 2),
-        rank=16, hidden_dim=8, out_dim=2, output_activation="tanh",
-    )
-    clear_artifacts(args.out, "train-conditional")
-    result = train_conditional(
-        spec, task, steps=args.steps, batch_size=64, seed=args.seed,
-        out_dir=args.out, loss_kind="mmd", noise_dim=args.noise_dim,
-        eval_samples=1000, sweep_points=9,
-    )
+    values = {
+        "command": "train-conditional", "n_classes": args.classes,
+        "noise_dim": args.noise_dim, "block_orders": [2, 2], "rank": 16,
+        "hidden_dim": 8, "output_activation": "tanh", "loss": "mmd", "batch_size": 64,
+    }
+    cfg = resolve(values, {
+        "seed": args.seed, "steps": args.steps, "output_dir": str(args.out),
+    })
+    run_experiment(cfg)
 
-    rows = list(csv.reader(open(args.out / "samples.csv")))[1:]
+    step, loss = list(csv.reader((args.out / "metrics.csv").read_text().splitlines()))[-1][:2]
+    rows = list(csv.reader((args.out / "samples.csv").read_text().splitlines()))[1:]
     cls = np.array([int(r[0]) for r in rows])
     pts = np.array([[float(r[1]), float(r[2])] for r in rows]).T
-    accuracy = float(np.mean(nearest_center(task, pts) == cls))
-    print(f"final loss {result.final_loss:.4e} after {result.steps_run} steps")
+    accuracy = float(np.mean(nearest_center(cluster_task(cfg), pts) == cls))
+    print(f"final loss {float(loss):.4e} after {step} steps")
     print(f"nearest-center accuracy {accuracy:.4f} on {len(cls)} samples")
     print(f"artifacts in {args.out}")
 

@@ -3,14 +3,12 @@
 trained against a small two-hidden-layer discriminator instead of MMD."""
 
 import argparse
+import csv
 import os
 from pathlib import Path
 
-from cope.cli import clear_artifacts
-from cope.models import init_chain
-from cope.rng import stream
-from cope.tasks import make_cond_point_cloud
-from cope.training import train_conditional
+from cope.cli import run_experiment
+from cope.config import resolve
 
 
 def main():
@@ -22,18 +20,17 @@ def main():
                     default=Path(os.environ.get("COPE_OUT", "cope_runs")) / "gan_demo")
     args = ap.parse_args()
 
-    task = make_cond_point_cloud(4, 0.6, 0.05)
-    spec = init_chain(
-        stream(args.seed, "init"), (4, 4), (2, 2), rank=16, hidden_dim=8,
-        out_dim=2, output_activation="tanh",
-    )
-    clear_artifacts(args.out, "train-conditional")
-    result = train_conditional(
-        spec, task, steps=args.steps, batch_size=64, seed=args.seed,
-        out_dir=args.out, loss_kind="gan", noise_dim=4,
-        disc_hidden=args.disc_hidden, eval_samples=1000, sweep_points=9,
-    )
-    print(f"final generator loss {result.final_loss:.4e} after {result.steps_run} steps")
+    values = {
+        "command": "train-conditional", "block_orders": [2, 2], "rank": 16,
+        "hidden_dim": 8, "output_activation": "tanh", "loss": "gan", "batch_size": 64,
+        "disc_hidden": args.disc_hidden,
+    }
+    run_experiment(resolve(values, {
+        "seed": args.seed, "steps": args.steps, "output_dir": str(args.out),
+    }))
+
+    step, loss = list(csv.reader((args.out / "metrics.csv").read_text().splitlines()))[-1][:2]
+    print(f"final generator loss {float(loss):.4e} after {step} steps")
     print(f"artifacts in {args.out} (metrics.csv has the discriminator trace)")
 
 

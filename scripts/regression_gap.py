@@ -3,14 +3,14 @@
 chain at matched parameter count, then print the MSE gap."""
 
 import argparse
+import csv
 import os
 from pathlib import Path
 
-from cope.cli import clear_artifacts
-from cope.models import init_chain
-from cope.rng import stream
-from cope.tasks import make_poly_regression
-from cope.training import count_parameters, matched_additive_rank, train_regression
+from cope.checkpoint import load_model
+from cope.cli import run_experiment
+from cope.config import resolve
+from cope.training import count_parameters, matched_additive_rank
 
 
 def main():
@@ -23,29 +23,31 @@ def main():
                     default=Path(os.environ.get("COPE_OUT", "cope_runs")) / "regression_gap")
     args = ap.parse_args()
 
-    task = make_poly_regression(stream(args.seed, "data"), args.degree, 2, 1, 256)
+    def fit(variant, rank):
+        """`cope train-regression` into out/<variant>; returns the model's
+        parameter count and metrics.csv's last (step, mse) row."""
+        out = args.out / variant
+        values = {
+            "command": "train-regression", "task": "poly-regression",
+            "target_degree": args.degree, "input_dim": 2, "output_dim": 1,
+            "train_samples": 256, "variant": variant, "block_orders": [args.degree],
+            "rank": rank, "hidden_dim": 8, "stop_mse": 5e-5,
+        }
+        run_experiment(resolve(values, {
+            "seed": args.seed, "steps": args.steps, "output_dir": str(out),
+        }))
+        step, mse = list(csv.reader((out / "metrics.csv").read_text().splitlines()))[-1]
+        return count_parameters(load_model(out / "checkpoint.json")), int(step), float(mse)
 
-    def fit(kind, rank, sub):
-        spec = init_chain(
-            stream(args.seed, "init"), (2, 2), (args.degree,), rank=rank,
-            hidden_dim=8, out_dim=1, kind=kind,
-        )
-        clear_artifacts(args.out / sub, "train-regression")
-        result = train_regression(
-            spec, task.inputs, task.outputs, steps=args.steps,
-            out_dir=args.out / sub, stop_loss=5e-5,
-        )
-        return count_parameters(spec), result
-
-    ccp_params, ccp = fit("ccp", args.rank, "ccp")
+    ccp_params, ccp_steps, ccp_mse = fit("ccp", args.rank)
     add_rank = matched_additive_rank((2, 2), args.degree, 1, ccp_params)
-    add_params, add = fit("additive", add_rank, "additive")
+    add_params, add_steps, add_mse = fit("additive", add_rank)
 
     print(f"ccp      rank {args.rank:3d}  {ccp_params:4d} params  "
-          f"mse {ccp.final_loss:.3e}  ({ccp.steps_run} steps)")
+          f"mse {ccp_mse:.3e}  ({ccp_steps} steps)")
     print(f"additive rank {add_rank:3d}  {add_params:4d} params  "
-          f"mse {add.final_loss:.3e}  ({add.steps_run} steps)")
-    print(f"gap: {add.final_loss / ccp.final_loss:.0f}x   artifacts in {args.out}")
+          f"mse {add_mse:.3e}  ({add_steps} steps)")
+    print(f"gap: {add_mse / ccp_mse:.0f}x   artifacts in {args.out}")
 
 
 if __name__ == "__main__":

@@ -101,51 +101,28 @@ def _run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
+def cluster_task(cfg: ExperimentConfig):
+    """The cond-point-cloud task with `cfg`'s classes and cluster shape."""
+    return make_cond_point_cloud(cfg.n_classes, cfg.cluster_radius, cfg.cluster_std)
+
+
 def _run_train_regression(cfg: ExperimentConfig, out_dir: Path) -> int:
     var_dims, inputs, targets = _regression_data(cfg)
     spec = _build_chain(cfg, var_dims, out_dim=targets.shape[0])
     print(f"model: {cfg.variant} blocks {list(cfg.block_orders)} "
           f"rank {cfg.rank} ({count_parameters(spec)} parameters)")
-    result = train_regression(
-        spec,
-        inputs,
-        targets,
-        steps=cfg.steps,
-        out_dir=out_dir,
-        lr=cfg.lr,
-        beta1=cfg.beta1,
-        beta2=cfg.beta2,
-        eps=cfg.eps,
-        stop_loss=cfg.stop_mse,
-    )
+    result = train_regression(spec, inputs, targets, cfg, out_dir)
     print(f"final mse {result.final_loss:.6e} after {result.steps_run} steps; "
           f"artifacts in {out_dir}")
     return 0
 
 
 def _run_train_conditional(cfg: ExperimentConfig, out_dir: Path) -> int:
-    task = make_cond_point_cloud(cfg.n_classes, cfg.cluster_radius, cfg.cluster_std)
+    task = cluster_task(cfg)
     spec = _build_chain(cfg, (cfg.noise_dim, cfg.n_classes), out_dim=2)
     print(f"model: {cfg.variant} blocks {list(cfg.block_orders)} "
           f"rank {cfg.rank} ({count_parameters(spec)} parameters)")
-    result = train_conditional(
-        spec,
-        task,
-        steps=cfg.steps,
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
-        out_dir=out_dir,
-        loss_kind=cfg.loss,
-        noise_dim=cfg.noise_dim,
-        noise_kind=cfg.noise_kind,
-        lr=cfg.lr,
-        beta1=cfg.beta1,
-        beta2=cfg.beta2,
-        eps=cfg.eps,
-        eval_samples=cfg.eval_samples,
-        sweep_points=cfg.sweep_points,
-        disc_hidden=cfg.disc_hidden,
-    )
+    result = train_conditional(spec, task, cfg, out_dir)
     print(f"final {cfg.loss} loss {result.final_loss:.6e} after "
           f"{result.steps_run} steps; artifacts in {out_dir}")
     return 0

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -146,7 +147,8 @@ def _is_int(v) -> bool:
 
 
 def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """An int or a finite float: JSON's NaN and Infinity are not settings."""
+    return math.isfinite(v) if isinstance(v, float) else _is_int(v)
 
 
 def validate(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -169,7 +171,7 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     for name in _POSITIVE_FLOATS:
         v = getattr(cfg, name)
         if not _is_real(v) or v <= 0:
-            raise ConfigError(f"field '{name}' must be positive, got {v!r}")
+            raise ConfigError(f"field '{name}' must be positive and finite, got {v!r}")
     if not _is_int(cfg.seed) or not 0 <= cfg.seed < 2**64:
         raise ConfigError(f"field 'seed' must be an integer in [0, 2**64), got {cfg.seed!r}")
     if not cfg.block_orders or any(
@@ -201,7 +203,9 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
             f"'downsample_factor' ({cfg.downsample_factor})"
         )
     if cfg.stop_mse is not None and (not _is_real(cfg.stop_mse) or cfg.stop_mse <= 0):
-        raise ConfigError(f"field 'stop_mse' must be positive or null, got {cfg.stop_mse!r}")
+        raise ConfigError(
+            f"field 'stop_mse' must be positive and finite, or null, got {cfg.stop_mse!r}"
+        )
     if not _is_int(cfg.sweep_points) or cfg.sweep_points < 2:
         raise ConfigError(
             f"field 'sweep_points' must be an integer of at least 2, got {cfg.sweep_points!r}"
@@ -233,10 +237,11 @@ def resolve(file_values: dict | None, overrides: dict | None = None) -> Experime
         for k, v in source.items():
             merged[k] = _coerce(k, v)
     for name in ("rank", "hidden_dim", "steps", "seed"):
-        if name in merged and isinstance(merged[name], float):
-            if merged[name] != int(merged[name]):
-                raise ConfigError(f"field '{name}' must be an integer")
-            merged[name] = int(merged[name])
+        v = merged.get(name)
+        if isinstance(v, float):
+            if not v.is_integer():  # false for NaN and +-inf too
+                raise ConfigError(f"field '{name}' must be an integer, got {v!r}")
+            merged[name] = int(v)
     cfg = ExperimentConfig(**merged)
     if "task" not in merged and cfg.command in _ENUMS["command"]:
         cfg.task = COMMANDS[cfg.command].tasks[0]

@@ -260,13 +260,12 @@ def ccp_forward_cols(blk: ChainBlock, inputs):
     return _block_node(leaves, out, vjp)
 
 
-def ncp_forward_cols(blk: ChainBlock, inputs, combine):
-    """Gated recursion y_n = (sum_phi A_n,phi^T z_phi) * (V_n^T y_{n-1} + B_n^T b_n),
-    with `combine` as the `*`; `operator.add` gives the additive ablation.
+def ncp_forward_cols(blk: ChainBlock, inputs):
+    """Gated recursion y_n = (sum_phi A_n,phi^T z_phi) * (V_n^T y_{n-1} + B_n^T b_n);
+    an additive block sums where an ncp block takes the Hadamard product.
     When any parameter or input is a Var, one tape node whose VJP runs the
     recursion backwards."""
-    if combine not in (operator.mul, operator.add):
-        raise ValueError("ncp_forward_cols combines with operator.mul or operator.add")
+    combine = _COMBINE[blk.kind]
     p, zs, leaves = _plain(blk, inputs)
     order, share = blk.order, blk.share_conditional
     ys, lefts, rights = [], [], []
@@ -373,10 +372,8 @@ def product_compose(spec: ModelSpec, inputs):
     last = len(spec.blocks) - 1
     for i, blk in enumerate(spec.blocks):
         ins = ([x] if blk.consume_prev else []) + [cols[j] for j in blk.consume_vars]
-        if blk.kind == "ccp":
-            x = ccp_forward_cols(blk, ins)
-        else:
-            x = ncp_forward_cols(blk, ins, _COMBINE[blk.kind])
+        forward = ccp_forward_cols if blk.kind == "ccp" else ncp_forward_cols
+        x = forward(blk, ins)
         if spec.centering == "batch_mean" and i < last:
             x = x - x.sum(axis=1, keepdims=True) * (1.0 / x.shape[1])
     if spec.output_activation == "tanh":
@@ -388,7 +385,7 @@ def _uniform(rng, shape, scale):
     return rng.uniform(-scale, scale, size=shape)
 
 
-def _draw_block(rng, kind, input_dims, rank, out_dim, order, share):
+def init_block(rng, kind, input_dims, rank, out_dim, order, share_conditional=False):
     """A `kind` block that consumes variables 0..len(input_dims)-1, drawn
     in the order of its unshared `_layout`: factors, states, offsets and
     head uniformly in +-1/sqrt(rank), seeds ones, head bias zeros; its
@@ -405,22 +402,10 @@ def _draw_block(rng, kind, input_dims, rank, out_dim, order, share):
             params[name] = np.zeros(shape)
         else:
             params[name] = _uniform(rng, shape, scale)
-    if share:
-        kept = _layout(kind, order, input_dims, 0, 0, 0, share)
+    if share_conditional:
+        kept = _layout(kind, order, input_dims, 0, 0, 0, True)
         params = {name: params[name] for name in kept}
-    return ChainBlock(kind, params, False, tuple(range(len(input_dims))), share)
-
-
-def init_ccp(rng, input_dims, rank, out_dim, order, share_conditional=False):
-    """A ccp block that consumes variables 0..len(input_dims)-1, drawn
-    uniformly in +-1/sqrt(rank)."""
-    return _draw_block(rng, "ccp", input_dims, rank, out_dim, order, share_conditional)
-
-
-def init_ncp(rng, input_dims, rank, out_dim, order, share_conditional=False):
-    """An ncp block that consumes variables 0..len(input_dims)-1, drawn
-    uniformly in +-1/sqrt(rank); its offsets are `rank` wide."""
-    return _draw_block(rng, "ncp", input_dims, rank, out_dim, order, share_conditional)
+    return ChainBlock(kind, params, False, tuple(range(len(input_dims))), share_conditional)
 
 
 def init_concat_linear(rng, input_dims, out_dim):
@@ -458,7 +443,7 @@ def init_chain(
         share = share_conditional and len(dims) >= 2
         blocks.append(
             replace(
-                _draw_block(rng, kind, dims, rank, width, order, share),
+                init_block(rng, kind, dims, rank, width, order, share),
                 consume_prev=consume_prev,
                 consume_vars=consume_vars,
             )

@@ -10,6 +10,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,6 +36,9 @@ from .models import (
 from .optim import adam_init, adam_step
 from .rng import stream
 from .tasks import CondPointCloud, one_hot
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 
 class TrainingDiverged(RuntimeError):
@@ -98,8 +102,14 @@ def matched_additive_rank(var_dims, order, out_dim, target_count) -> int:
     return min(range(1, 129), key=lambda rank: abs(count(rank) - target_count))
 
 
-def _fit(spec, out_dir, header, steps, step_loss, opt, stop_loss=None) -> TrainResult:
-    """Adam on `spec`'s parameters, one metrics row per step.
+def _adam_settings(cfg: ExperimentConfig) -> dict:
+    return dict(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+
+
+def _fit(spec, cfg, out_dir, header, step_loss, stop_below) -> TrainResult:
+    """Adam with `cfg`'s settings on `spec`'s parameters for `cfg.steps`
+    steps, one metrics row per step; a loss below `stop_below` (if not
+    None) ends the run after its update.
 
     `step_loss(lifted)` returns the loss Var, the row's other losses and
     its diagnostics; a non-finite loss or other loss ends the run with
@@ -107,13 +117,13 @@ def _fit(spec, out_dir, header, steps, step_loss, opt, stop_loss=None) -> TrainR
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    state = adam_init(spec, **opt)  # rebinds spec's arrays to views of one vector
+    state = adam_init(spec, **_adam_settings(cfg))  # rebinds spec's arrays to views
     params = model_parameters(spec)
     metrics = MetricsWriter(out_dir / "metrics.csv", header)
     value = float("nan")
     step = 0
     try:
-        for step in range(1, steps + 1):
+        for step in range(1, cfg.steps + 1):
             tape = Tape()
             loss, others, diagnostics = step_loss(lift_model(tape, spec))
             value = float(loss.value)
@@ -121,7 +131,7 @@ def _fit(spec, out_dir, header, steps, step_loss, opt, stop_loss=None) -> TrainR
             if not np.isfinite([value, *others]).all():
                 raise TrainingDiverged(step, value, metrics.path)
             adam_step(state, params, backward(tape, loss))
-            if stop_loss is not None and value < stop_loss:
+            if stop_below is not None and value < stop_below:
                 break
     finally:
         metrics.close()
@@ -131,27 +141,17 @@ def _fit(spec, out_dir, header, steps, step_loss, opt, stop_loss=None) -> TrainR
 
 
 def train_regression(
-    spec: ModelSpec,
-    inputs,
-    targets,
-    *,
-    steps: int,
-    out_dir,
-    lr=1e-3,
-    beta1=0.9,
-    beta2=0.999,
-    eps=1e-8,
-    stop_loss=None,
+    spec: ModelSpec, inputs, targets, cfg: ExperimentConfig, out_dir
 ) -> TrainResult:
-    """Full-batch regression; logs one (step, mse) row per step."""
+    """Full-batch regression with `cfg`'s steps, stop_mse and Adam
+    settings; logs one (step, mse) row per step."""
     inputs = [np.asarray(z, dtype=np.float64) for z in inputs]
     targets = np.asarray(targets, dtype=np.float64)
 
     def step_loss(lifted):
         return mse_loss(product_compose(lifted, inputs), targets), [], []
 
-    opt = dict(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-    return _fit(spec, out_dir, ["step", "mse"], steps, step_loss, opt, stop_loss)
+    return _fit(spec, cfg, out_dir, ["step", "mse"], step_loss, cfg.stop_mse)
 
 
 def _dump_samples(spec, task, draw, per_class, path):
@@ -192,58 +192,45 @@ def _diversity_probe(spec, task, draw) -> float:
 
 
 def train_conditional(
-    spec: ModelSpec,
-    task: CondPointCloud,
-    *,
-    steps: int,
-    batch_size: int,
-    seed: int,
-    out_dir,
-    loss_kind="mmd",
-    noise_dim=4,
-    noise_kind="uniform",
-    lr=1e-3,
-    beta1=0.9,
-    beta2=0.999,
-    eps=1e-8,
-    eval_samples=1000,
-    sweep_points=9,
-    disc_hidden=32,
+    spec: ModelSpec, task: CondPointCloud, cfg: ExperimentConfig, out_dir
 ) -> TrainResult:
-    """Class-conditional generator training with MMD or adversarial loss.
+    """Class-conditional generator training with `cfg`'s loss (MMD or
+    adversarial), noise, batch, seed, Adam and diagnostics settings.
 
-    `batch_size` counts samples per class per step. Writes metrics.csv plus
-    samples.csv (per-class draws) and sweep.csv (class interpolations).
+    `cfg.batch_size` counts samples per class per step. Writes metrics.csv
+    plus samples.csv (per-class draws) and sweep.csv (class interpolations).
     """
-    if loss_kind not in ("mmd", "gan"):
-        raise ValueError(f"unknown loss kind '{loss_kind}'")
-    k = task.n_classes
-    data_rng = stream(seed, "data")
-    noise_rng = stream(seed, "noise")
-    diag_rng = stream(seed, "diag")
-    opt = dict(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-    if loss_kind == "gan":
-        disc = init_discriminator(stream(seed, "init", 1), spec.out_dim + k, disc_hidden)
-        disc_state = adam_init(disc, **opt)
+    if cfg.loss not in ("mmd", "gan"):
+        raise ValueError(f"unknown loss kind '{cfg.loss}'")
+    k, batch = task.n_classes, cfg.batch_size
+    data_rng = stream(cfg.seed, "data")
+    noise_rng = stream(cfg.seed, "noise")
+    diag_rng = stream(cfg.seed, "diag")
+    if cfg.loss == "gan":
+        disc = init_discriminator(
+            stream(cfg.seed, "init", 1), spec.out_dim + k, cfg.disc_hidden
+        )
+        disc_state = adam_init(disc, **_adam_settings(cfg))
         header = ["step", "loss", "loss_disc", "diversity"]
     else:
         header = ["step", "loss"] + [f"mmd_class{c}" for c in range(k)] + ["diversity"]
 
     def draw(n):  # the diagnostics' noise: probe, samples and sweep
-        return sample_noise(diag_rng, noise_dim, n, noise_kind)
+        return sample_noise(diag_rng, cfg.noise_dim, n, cfg.noise_kind)
 
     # every class's batch side by side, class-major: one generator forward
-    label_x = np.concatenate([one_hot(k, c, batch_size) for c in range(k)], axis=1)
+    label_x = np.concatenate([one_hot(k, c, batch) for c in range(k)], axis=1)
 
     def step_loss(lifted):
-        real = np.concatenate([task.sample(data_rng, c, batch_size) for c in range(k)], 1)
+        real = np.concatenate([task.sample(data_rng, c, batch) for c in range(k)], 1)
         noise = np.concatenate(
-            [sample_noise(noise_rng, noise_dim, batch_size, noise_kind) for _ in range(k)], 1
+            [sample_noise(noise_rng, cfg.noise_dim, batch, cfg.noise_kind) for _ in range(k)],
+            1,
         )
         fake = product_compose(lifted, [noise, label_x])
-        if loss_kind == "mmd":
+        if cfg.loss == "mmd":
             # the class axis, and the real distances built once a step
-            real = real.reshape((-1, k, batch_size))
+            real = real.reshape((-1, k, batch))
             dyy = pairwise_sq_dists(real, real)
             parts = mmd_loss(fake.reshape(real.shape), real, rbf_bandwidths(real, dyy), dyy)
             loss, others = parts.sum(), list(parts.value)
@@ -261,7 +248,7 @@ def train_conditional(
             loss, others = softplus(-logits).mean(), [float(loss_d.value)]
         return loss, others, [_diversity_probe(spec, task, draw)]
 
-    result = _fit(spec, out_dir, header, steps, step_loss, opt)
-    _dump_samples(spec, task, draw, eval_samples, Path(out_dir) / "samples.csv")
-    _dump_sweep(spec, task, draw, sweep_points, Path(out_dir) / "sweep.csv")
+    result = _fit(spec, cfg, out_dir, header, step_loss, None)
+    _dump_samples(spec, task, draw, cfg.eval_samples, Path(out_dir) / "samples.csv")
+    _dump_sweep(spec, task, draw, cfg.sweep_points, Path(out_dir) / "sweep.csv")
     return result

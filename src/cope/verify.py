@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import time
 from dataclasses import dataclass
 from functools import reduce
@@ -20,10 +19,9 @@ from .models import (
     ModelSpec,
     ccp_forward_cols,
     concat_linear_forward,
-    init_ccp,
+    init_block,
     init_chain,
     init_concat_linear,
-    init_ncp,
     model_parameters,
     ncp_forward_cols,
     product_compose,
@@ -125,7 +123,7 @@ def run_claim1(rng, worst, draws: int = 100, pairs: int = 20):
         n_vars = int(rng.integers(2, 4))
         dims = tuple(int(v) for v in rng.integers(1, 6, size=n_vars))
         k, o = (int(v) for v in rng.integers(1, 6, size=2))
-        p = init_ccp(rng, dims, k, o, order, share_conditional=i % 2 == 1)
+        p = init_block(rng, "ccp", dims, k, o, order, share_conditional=i % 2 == 1)
         p.params["head_bias"] = rng.uniform(-1.0, 1.0, o)
         oracle = build_coupled_tensors(p)
         # row j holds pair j's variables in turn, as drawn one pair at a time
@@ -192,8 +190,8 @@ def run_degree_law(rng, worst, instances: int = 20):
             d1, d2 = (int(v) for v in rng.integers(2, 5, size=2))
             k = int(rng.integers(2, 6))
             o = int(rng.integers(1, 4))
-            for kind, init in (("ccp", init_ccp), ("ncp", init_ncp)):
-                spec = _alone(init(rng, (d1, d2), k, o, order))
+            for kind in ("ccp", "ncp"):
+                spec = _alone(init_block(rng, kind, (d1, d2), k, o, order))
                 check(f"{kind} order {order} [{i}]", spec, order)
     for block_orders in ((2, 2), (2, 2, 2)):
         expected = int(np.prod(block_orders))
@@ -227,13 +225,13 @@ def run_reductions(rng, worst, instances: int = 50):
         order = int(rng.integers(2, 4))
         # multiplicative-skip recursion with a silent second input: the
         # one-variable ccp block, which is the Pi-net recursion
-        p = init_ccp(rng, (d1, d2), k, o, order)
+        p = init_block(rng, "ccp", (d1, d2), k, o, order)
         two, one = _alone(p), _alone(_silence_last_input(p))
         # three-variable recursion with a silent third input
-        p3 = init_ccp(rng, (d1, d2, d2), k, o, order)
+        p3 = init_block(rng, "ccp", (d1, d2, d2), k, o, order)
         three, first_two = _alone(p3), _alone(_silence_last_input(p3))
         # gated recursion pinned to the conditioning-by-gating layout
-        g = init_ncp(rng, (d1, d2), k, o, order)
+        g = init_block(rng, "ncp", (d1, d2), k, o, order)
         cfg = _alone(spade_config(g))
         for j in range(3):
             z1, z2 = rng.uniform(-1, 1, d1), rng.uniform(-1, 1, d2)
@@ -259,9 +257,9 @@ def run_affineness(rng, worst, rays: int = 50):
     curved = 0
     for r in range(rays):
         order = int(rng.integers(2, 4))
-        add = init_ncp(rng, (d1, d2), k, o, order)
+        add = init_block(rng, "additive", (d1, d2), k, o, order)
         lin = init_concat_linear(rng, (d1, d2), o)
-        ccp = _alone(init_ccp(rng, (d1, d2), k, o, order))
+        ccp = _alone(init_block(rng, "ccp", (d1, d2), k, o, order))
         base = rng.uniform(-1, 1, d1 + d2)
         direction = rng.uniform(-1, 1, d1 + d2)
 
@@ -273,9 +271,7 @@ def run_affineness(rng, worst, rays: int = 50):
             return abs(vals[0] - 2.0 * vals[1] + vals[2])
 
         baselines = [
-            second_diff(
-                lambda zs: ncp_forward_cols(add, [z[:, None] for z in zs], operator.add)
-            ),
+            second_diff(lambda zs: ncp_forward_cols(add, [z[:, None] for z in zs])),
             second_diff(lambda zs: concat_linear_forward(lin, zs)),
         ]
         b = int(np.argmax(baselines))  # the first NaN, if any
@@ -304,15 +300,15 @@ def run_gradients(rng, worst, instances: int = 20):
         z = [rng.uniform(-0.5, 0.5, (d1, batch)), rng.uniform(-0.5, 0.5, (d2, batch))]
         zs = rng.uniform(-0.5, 0.5, (d1, batch))
         cases = {  # name: (model, forward)
-            "ccp": (init_ccp(rng, (d1, d2), k, o, order=3),
+            "ccp": (init_block(rng, "ccp", (d1, d2), k, o, order=3),
                     lambda m: ccp_forward_cols(m, z)),
-            "ncp": (init_ncp(rng, (d1, d2), k, o, order=3),
-                    lambda m: ncp_forward_cols(m, z, operator.mul)),
-            "pi-net": (init_ccp(rng, (d1,), k, o, order=3),
+            "ncp": (init_block(rng, "ncp", (d1, d2), k, o, order=3),
+                    lambda m: ncp_forward_cols(m, z)),
+            "pi-net": (init_block(rng, "ccp", (d1,), k, o, order=3),
                        lambda m: ccp_forward_cols(m, [zs])),
-            "additive": (init_ncp(rng, (d1, d2), k, o, order=3),
-                         lambda m: ncp_forward_cols(m, z, operator.add)),
-            "spade": (init_ncp(rng, (d1, d2), k, o, order=3),
+            "additive": (init_block(rng, "additive", (d1, d2), k, o, order=3),
+                         lambda m: ncp_forward_cols(m, z)),
+            "spade": (init_block(rng, "ncp", (d1, d2), k, o, order=3),
                       lambda m: spade_forward_cols(m, z[0], z[1])),
             "tanh chain": (init_chain(rng, (d1, d2), (2, 2), rank=k, hidden_dim=3,
                                       out_dim=o, output_activation="tanh"),

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from cope.config import ExperimentConfig
 from cope.models import init_chain
 from cope.rng import stream
 from cope.tasks import make_cond_point_cloud, make_poly_regression, nearest_center
@@ -89,10 +90,8 @@ def _fit_cubic(kind, rank, out_dir, task):
         stream(SEED, "init"), (2, 2), (3,), rank=rank, hidden_dim=8, out_dim=1,
         kind=kind,
     )
-    result = train_regression(
-        spec, task.inputs, task.outputs, steps=STEP_CAP, out_dir=out_dir,
-        stop_loss=5e-5,
-    )
+    cfg = ExperimentConfig(steps=STEP_CAP, stop_mse=5e-5)
+    result = train_regression(spec, task.inputs, task.outputs, cfg, out_dir)
     return spec, result
 
 
@@ -150,11 +149,11 @@ def _train_generator(out_dir, task):
         stream(SEED, "init"), (4, N_CLASSES), (2, 2), rank=16, hidden_dim=8,
         out_dim=2, output_activation="tanh",
     )
-    return train_conditional(
-        spec, task, steps=1000, batch_size=64, seed=SEED, out_dir=out_dir,
-        loss_kind="mmd", noise_dim=4, noise_kind="uniform",
-        eval_samples=EVAL_PER_CLASS, sweep_points=9,
+    cfg = ExperimentConfig(
+        steps=1000, batch_size=64, seed=SEED, loss="mmd", noise_dim=4,
+        noise_kind="uniform", eval_samples=EVAL_PER_CLASS, sweep_points=9,
     )
+    return train_conditional(spec, task, cfg, out_dir)
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,7 @@ from cope.autodiff import (
 )
 from cope.models import (
     ccp_forward_cols,
-    init_ccp,
+    init_block,
     init_chain,
     lift_model,
     model_parameters,
@@ -108,7 +108,7 @@ class TestBackward:
 
     def test_repeated_runs_are_bitwise_identical(self):
         rng = np.random.default_rng(53)
-        p = init_ccp(rng, (3, 2), 4, 2, order=3)
+        p = init_block(rng, "ccp", (3, 2), 4, 2, order=3)
         z = [rng.uniform(-1, 1, (3, 8)), rng.uniform(-1, 1, (2, 8))]
 
         def run():

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from cope.autodiff import Tape, backward, finite_diff_check, tanh, tmatmul
+from cope.config import ExperimentConfig
 from cope.models import (
     ccp_forward_cols,
-    init_ccp,
+    init_block,
     init_chain,
-    init_ncp,
     lift_model,
     model_parameters,
     ncp_forward_cols,
@@ -78,14 +78,14 @@ def ref_compose(spec, cols):
 def fused_block(blk, inputs):
     if blk.kind == "ccp":
         return ccp_forward_cols(blk, inputs)
-    return ncp_forward_cols(blk, inputs, COMBINE[blk.kind])
+    return ncp_forward_cols(blk, inputs)
 
 
 def _draw(rng, kind, dims, order, share):
-    init = init_ccp if kind == "ccp" else init_ncp
-    blk = init(rng, dims, int(rng.integers(1, 5)), int(rng.integers(1, 4)), order, share)
+    rank, out_dim = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    blk = init_block(rng, kind, dims, rank, out_dim, order, share)
     blk.params["head_bias"] = rng.uniform(-1.0, 1.0, blk.out_dim)
-    return replace(blk, kind=kind)
+    return blk
 
 
 def _run(forward, model, values, on_tape, seed):
@@ -167,9 +167,9 @@ def test_chain_of_block_nodes_is_the_per_op_tape_bitwise(kind, centering):
 
 def test_plain_arrays_push_nothing():
     rng = np.random.default_rng(5)
-    blk = init_ncp(rng, (2, 3), 3, 2, order=3)
+    blk = init_block(rng, "ncp", (2, 3), 3, 2, order=3)
     z = [rng.uniform(-1, 1, (2, 4)), rng.uniform(-1, 1, (3, 4))]
-    out = ncp_forward_cols(blk, z, operator.mul)
+    out = ncp_forward_cols(blk, z)
     assert type(out) is np.ndarray
     tape = Tape()
     ref = ref_ncp(lift_model(tape, blk), z, operator.mul)
@@ -194,10 +194,18 @@ def test_a_block_node_frees_its_tape_without_a_gc_pass(kind):
         gc.enable()
 
 
-def test_ncp_rejects_an_unknown_combine():
-    blk = init_ncp(np.random.default_rng(0), (2,), 2, 1, order=2)
-    with pytest.raises(ValueError, match="operator.mul or operator.add"):
-        ncp_forward_cols(blk, [np.ones((2, 1))], operator.sub)
+def test_ncp_forward_combines_by_the_block_kind():
+    # one draw read as an ncp and as an additive block: the kind alone
+    # picks the Hadamard product or the sum
+    rng = np.random.default_rng(0)
+    blk = init_block(rng, "ncp", (2, 3), 3, 2, order=3)
+    z = [rng.uniform(-1, 1, (2, 4)), rng.uniform(-1, 1, (3, 4))]
+    outs = {}
+    for kind, combine in COMBINE.items():
+        outs[kind] = ncp_forward_cols(replace(blk, kind=kind), z)
+        ref = ref_ncp(lift_model(Tape(), blk), z, combine)
+        assert outs[kind].tobytes() == ref.value.tobytes(), kind
+    assert not np.allclose(outs["ncp"], outs["additive"])
 
 
 @pytest.mark.parametrize("kind", ["ccp", "ncp", "additive"])
@@ -233,6 +241,6 @@ def test_regression_step_tape_nodes(kind, nodes, tmp_path, monkeypatch):
     spec = init_chain(rng, (2, 2), (3,), rank=5, hidden_dim=1, out_dim=1, kind=kind)
     inputs = [rng.uniform(-1, 1, (2, 16)), rng.uniform(-1, 1, (2, 16))]
     cope.training.train_regression(
-        spec, inputs, rng.uniform(-1, 1, (1, 16)), steps=1, out_dir=tmp_path
+        spec, inputs, rng.uniform(-1, 1, (1, 16)), ExperimentConfig(steps=1), tmp_path
     )
     assert tapes == [nodes]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cope.checkpoint import load_model, save_model
+from cope.config import ExperimentConfig
 from cope.models import init_chain, model_parameters, product_compose
 from cope.rng import stream
 from cope.training import train_regression
@@ -40,7 +41,7 @@ def test_trained_model_saved_from_views_round_trips(tmp_path):
     spec = _chain(share=True)
     zs = [np.linspace(-1, 1, 12).reshape(3, 4), np.ones((2, 4))]
     targets = np.zeros((2, 4))
-    result = train_regression(spec, zs, targets, steps=3, out_dir=tmp_path / "run")
+    result = train_regression(spec, zs, targets, ExperimentConfig(steps=3), tmp_path / "run")
     assert all(a.base is not None for a in model_parameters(spec).values())
     back = load_model(result.checkpoint_path)
     a, b = model_parameters(spec), model_parameters(back)

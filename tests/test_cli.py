@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -69,6 +70,13 @@ def test_invalid_field_exits_2(tmp_path, capsys):
         ({"probe_max_order": "8"}, "probe_max_order"),
         ({"probe_max_order": 2.5}, "probe_max_order"),
         ({"stop_mse": True}, "stop_mse"),
+        # json.dumps writes these as the bare NaN and Infinity that json reads
+        ({"rank": math.nan}, "rank"),
+        ({"seed": math.inf}, "seed"),
+        ({"lr": math.nan}, "lr"),
+        ({"cluster_std": math.nan}, "cluster_std"),
+        ({"eps": math.inf}, "eps"),
+        ({"stop_mse": math.nan}, "stop_mse"),
     ],
 )
 def test_out_of_range_config_exits_2_and_writes_nothing(tmp_path, capsys, values, field):

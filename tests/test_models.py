@@ -8,11 +8,10 @@ from cope.models import (
     ModelSpec,
     ccp_forward_cols,
     concat_linear_forward,
-    init_ccp,
+    init_block,
     init_chain,
     init_concat_linear,
     init_discriminator,
-    init_ncp,
     lift_model,
     model_parameters,
     product_compose,
@@ -89,7 +88,7 @@ class TestScalarUnrolls:
 class TestBatchSemantics:
     def test_columns_match_vector_loop(self):
         rng = np.random.default_rng(30)
-        spec = alone(init_ccp(rng, (3, 2), 4, 2, order=3))
+        spec = alone(init_block(rng, "ccp", (3, 2), 4, 2, order=3))
         z1 = rng.uniform(-1, 1, (3, 5))
         z2 = rng.uniform(-1, 1, (2, 5))
         batch = product_compose(spec, [z1, z2])
@@ -112,7 +111,7 @@ class TestReductions:
     def test_ccp_with_zero_conditional_is_single_input_recursion(self):
         rng = np.random.default_rng(31)
         for _ in range(5):
-            p = init_ccp(rng, (3, 2), 4, 2, order=3)
+            p = init_block(rng, "ccp", (3, 2), 4, 2, order=3)
             for n in range(1, 4):
                 p.params[f"in{n}.v1"] = np.zeros_like(p.params[f"in{n}.v1"])
             single = ChainBlock(
@@ -128,7 +127,7 @@ class TestReductions:
 
     def test_three_variable_ccp_with_zero_third_collapses(self):
         rng = np.random.default_rng(32)
-        p3 = init_ccp(rng, (3, 2, 2), 4, 2, order=3)
+        p3 = init_block(rng, "ccp", (3, 2, 2), 4, 2, order=3)
         for n in range(1, 4):
             p3.params[f"in{n}.v2"] = np.zeros_like(p3.params[f"in{n}.v2"])
         p2 = ChainBlock(
@@ -145,7 +144,7 @@ class TestReductions:
     def test_gated_forward_in_spade_configuration(self):
         rng = np.random.default_rng(33)
         for _ in range(5):
-            p = init_ncp(rng, (3, 2), 4, 2, order=3)
+            p = init_block(rng, "ncp", (3, 2), 4, 2, order=3)
             cfg = spade_config(p)
             zn, zc = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 2)
             np.testing.assert_allclose(
@@ -154,7 +153,7 @@ class TestReductions:
 
     def test_spade_degree_split(self):
         rng = np.random.default_rng(34)
-        p = init_ncp(rng, (3, 3), 4, 2, order=3)
+        p = init_block(rng, "ncp", (3, 3), 4, 2, order=3)
         base_n, base_c = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
         deg_noise = degree_probe(
             lambda z: spade(p, z, base_c), base_n, rng.uniform(-1, 1, 3), 5
@@ -175,11 +174,11 @@ class TestSharing:
 
     def test_sharing_is_identity_when_factors_already_equal(self):
         rng = np.random.default_rng(35)
-        free = init_ccp(rng, (3, 2), 4, 2, order=3)
+        free = init_block(rng, "ccp", (3, 2), 4, 2, order=3)
         cond = free.params["in1.v1"]
         for n in range(2, 4):
             free.params[f"in{n}.v1"] = cond.copy()
-        shared = init_ccp(rng, (3, 2), 4, 2, order=3, share_conditional=True)
+        shared = init_block(rng, "ccp", (3, 2), 4, 2, order=3, share_conditional=True)
         assert shared.params.keys() == free.params.keys() - {"in2.v1", "in3.v1"}
         for name in shared.params:
             shared.params[name] = free.params[name]
@@ -188,7 +187,7 @@ class TestSharing:
 
     def test_shared_factor_listed_once(self):
         rng = np.random.default_rng(36)
-        p = init_ccp(rng, (3, 2), 4, 2, order=3, share_conditional=True)
+        p = init_block(rng, "ccp", (3, 2), 4, 2, order=3, share_conditional=True)
         names = model_parameters(p)
         assert "in1.v1" in names
         assert "in2.v1" not in names and "in3.v1" not in names
@@ -221,7 +220,7 @@ class TestBlockValidation:
         ],
     )
     def test_rejects_names_or_shapes_that_do_not_fit(self, kind, edit, match):
-        p = init_ncp(np.random.default_rng(44), (3, 2), 4, 2, order=2)
+        p = init_block(np.random.default_rng(44), "ncp", (3, 2), 4, 2, order=2)
         blk = ChainBlock(kind, edit(dict(p.params)), False, (0, 1))
         with pytest.raises(ValueError, match=f"^block 0.*{match}"):
             ModelSpec((3, 2), [blk])
@@ -382,22 +381,27 @@ def _draw_digest(model, rng):
 
 
 @pytest.mark.parametrize(
-    "init, dims, share, digest",
+    "kind, dims, share, digest",
     [
-        (init_ccp, (3, 2), False, "8c428cde606c7d9f"),
-        (init_ccp, (3, 2), True, "2d9cf3d2370256d1"),
-        (init_ccp, (3, 2, 4), False, "3c9dd58d331fb8a0"),
-        (init_ccp, (3, 2, 4), True, "1a7c6d56d67b683d"),
-        (init_ncp, (3, 2), False, "9bf72e435e6e0631"),
-        (init_ncp, (3, 2), True, "d50161b9061a8fad"),
-        (init_ncp, (3, 2, 4), False, "5cdbe772d864855f"),
-        (init_ncp, (3, 2, 4), True, "185966b57c87e01f"),
+        ("ccp", (3, 2), False, "8c428cde606c7d9f"),
+        ("ccp", (3, 2), True, "2d9cf3d2370256d1"),
+        ("ccp", (3, 2, 4), False, "3c9dd58d331fb8a0"),
+        ("ccp", (3, 2, 4), True, "1a7c6d56d67b683d"),
+        ("ncp", (3, 2), False, "9bf72e435e6e0631"),
+        ("ncp", (3, 2), True, "d50161b9061a8fad"),
+        ("ncp", (3, 2, 4), False, "5cdbe772d864855f"),
+        ("ncp", (3, 2, 4), True, "185966b57c87e01f"),
+        # an additive block draws the arrays of the ncp block of its shape
+        ("additive", (3, 2), False, "9bf72e435e6e0631"),
+        ("additive", (3, 2, 4), True, "185966b57c87e01f"),
     ],
+    # the ccp and ncp ids read as in earlier runs, when each kind had an init function
+    ids=lambda v: f"init_{v}" if v in ("ccp", "ncp") else None,
 )
-def test_block_draw_order_is_pinned(init, dims, share, digest):
+def test_block_draw_order_is_pinned(kind, dims, share, digest):
     # verify draws its trial blocks from this stream, so it must not move
     rng = np.random.default_rng(5)
-    block = init(rng, dims, 3, 2, 3, share_conditional=share)
+    block = init_block(rng, kind, dims, 3, 2, 3, share_conditional=share)
     assert _draw_digest(block, rng) == digest
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cope.models import ChainBlock, ModelSpec, init_ccp, init_ncp, product_compose
+from cope.models import ChainBlock, ModelSpec, init_block, product_compose
 from cope.oracle import (
     OracleParams,
     build_coupled_tensors,
@@ -212,7 +212,7 @@ class TestCoupledTensorBuild:
             dims = tuple(int(d) for d in rng.integers(1, 5, size=n_vars))
             k, o = (int(v) for v in rng.integers(1, 5, size=2))
             share = (i // 8) % 2 == 1
-            p = init_ccp(rng, dims, k, o, order, share_conditional=share)
+            p = init_block(rng, "ccp", dims, k, o, order, share_conditional=share)
             p.params["head_bias"] = rng.uniform(-1, 1, o)
             oracle = build_coupled_tensors(p)
             spec = ModelSpec(dims, [p])
@@ -231,16 +231,16 @@ class TestCoupledTensorBuild:
     def test_rejects_higher_order(self):
         rng = np.random.default_rng(25)
         with pytest.raises(ValueError, match="order 5 outside"):
-            build_coupled_tensors(init_ccp(rng, (2, 2), 3, 1, order=5))
+            build_coupled_tensors(init_block(rng, "ccp", (2, 2), 3, 1, order=5))
 
     def test_rejects_other_kinds_arities_and_ranks(self):
         rng = np.random.default_rng(26)
         with pytest.raises(ValueError, match="expected a ccp block"):
-            build_coupled_tensors(init_ncp(rng, (2, 2), 3, 1, order=2))
+            build_coupled_tensors(init_block(rng, "ncp", (2, 2), 3, 1, order=2))
         with pytest.raises(ValueError, match="expected 2 or 3 input variables, got 1"):
-            build_coupled_tensors(init_ccp(rng, (2,), 3, 1, order=2))
+            build_coupled_tensors(init_block(rng, "ccp", (2,), 3, 1, order=2))
         with pytest.raises(ValueError, match="rank 9 outside"):
-            build_coupled_tensors(init_ccp(rng, (2, 2), 9, 1, order=2))
+            build_coupled_tensors(init_block(rng, "ccp", (2, 2), 9, 1, order=2))
 
 
 class TestDegreeProbe:

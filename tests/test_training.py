@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from cope.config import ExperimentConfig
 from cope.models import init_chain, model_parameters
 from cope.rng import stream
 from cope.tasks import make_cond_point_cloud, make_poly_regression
@@ -52,7 +53,7 @@ def test_matched_additive_rank_matches_built_model():
 def test_regression_loss_decreases_and_logs_every_step(tmp_path):
     task = _poly()
     r = train_regression(
-        _spec(), task.inputs, task.outputs, steps=40, out_dir=tmp_path
+        _spec(), task.inputs, task.outputs, ExperimentConfig(steps=40), tmp_path
     )
     rows = list(csv.reader(open(r.metrics_path)))
     assert rows[0] == ["step", "mse"]
@@ -65,10 +66,8 @@ def test_regression_loss_decreases_and_logs_every_step(tmp_path):
 
 def test_regression_stop_loss_halts_early(tmp_path):
     task = _poly()
-    r = train_regression(
-        _spec(), task.inputs, task.outputs, steps=5000, out_dir=tmp_path,
-        lr=1e-2, stop_loss=1e-3,
-    )
+    cfg = ExperimentConfig(steps=5000, lr=1e-2, stop_mse=1e-3)
+    r = train_regression(_spec(), task.inputs, task.outputs, cfg, tmp_path)
     assert r.steps_run < 5000
     assert r.final_loss < 1e-3
 
@@ -78,8 +77,8 @@ def test_regression_divergence_aborts_with_trace(tmp_path):
     task = _poly()
     with pytest.raises(TrainingDiverged, match="step"):
         train_regression(
-            _spec(), task.inputs, task.outputs, steps=10, out_dir=tmp_path,
-            lr=1e150,
+            _spec(), task.inputs, task.outputs, ExperimentConfig(steps=10, lr=1e150),
+            tmp_path,
         )
     rows = list(csv.reader(open(tmp_path / "metrics.csv")))
     assert len(rows) > 1  # the trace up to the failure is kept
@@ -89,7 +88,7 @@ def test_regression_reruns_byte_identical(tmp_path):
     task = _poly()
     for sub in ("a", "b"):
         train_regression(
-            _spec(), task.inputs, task.outputs, steps=25, out_dir=tmp_path / sub
+            _spec(), task.inputs, task.outputs, ExperimentConfig(steps=25), tmp_path / sub
         )
     a = (tmp_path / "a" / "metrics.csv").read_bytes()
     b = (tmp_path / "b" / "metrics.csv").read_bytes()
@@ -100,7 +99,7 @@ def test_training_updates_the_live_model(tmp_path):
     task = _poly()
     spec = _spec()
     before = {k: v.copy() for k, v in model_parameters(spec).items()}
-    train_regression(spec, task.inputs, task.outputs, steps=3, out_dir=tmp_path)
+    train_regression(spec, task.inputs, task.outputs, ExperimentConfig(steps=3), tmp_path)
     after = model_parameters(spec)
     assert any(not np.array_equal(before[k], after[k]) for k in before)
 
@@ -125,10 +124,10 @@ def _cond_spec(seed=0):
 
 def test_conditional_mmd_artifacts(tmp_path):
     task = make_cond_point_cloud(4, 0.6, 0.05)
-    r = train_conditional(
-        _cond_spec(), task, steps=4, batch_size=8, seed=0, out_dir=tmp_path,
-        noise_dim=3, eval_samples=10, sweep_points=3,
+    cfg = ExperimentConfig(
+        steps=4, batch_size=8, seed=0, noise_dim=3, eval_samples=10, sweep_points=3
     )
+    r = train_conditional(_cond_spec(), task, cfg, tmp_path)
     rows = list(csv.reader(open(r.metrics_path)))
     assert rows[0] == ["step", "loss", "mmd_class0", "mmd_class1",
                        "mmd_class2", "mmd_class3", "diversity"]
@@ -144,11 +143,11 @@ def test_conditional_mmd_artifacts(tmp_path):
 
 def test_conditional_gan_artifacts(tmp_path):
     task = make_cond_point_cloud(4, 0.6, 0.05)
-    r = train_conditional(
-        _cond_spec(), task, steps=3, batch_size=6, seed=0, out_dir=tmp_path,
-        loss_kind="gan", noise_dim=3, eval_samples=5, sweep_points=3,
-        disc_hidden=8,
+    cfg = ExperimentConfig(
+        steps=3, batch_size=6, seed=0, loss="gan", noise_dim=3, eval_samples=5,
+        sweep_points=3, disc_hidden=8,
     )
+    r = train_conditional(_cond_spec(), task, cfg, tmp_path)
     rows = list(csv.reader(open(r.metrics_path)))
     assert rows[0] == ["step", "loss", "loss_disc", "diversity"]
     assert len(rows) == 4
@@ -158,10 +157,10 @@ def test_conditional_gan_artifacts(tmp_path):
 def test_conditional_reruns_byte_identical(tmp_path):
     task = make_cond_point_cloud(4, 0.6, 0.05)
     for sub in ("a", "b"):
-        train_conditional(
-            _cond_spec(), task, steps=3, batch_size=6, seed=5,
-            out_dir=tmp_path / sub, noise_dim=3, eval_samples=6, sweep_points=3,
+        cfg = ExperimentConfig(
+            steps=3, batch_size=6, seed=5, noise_dim=3, eval_samples=6, sweep_points=3
         )
+        train_conditional(_cond_spec(), task, cfg, tmp_path / sub)
     for name in ("metrics.csv", "samples.csv", "sweep.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
@@ -171,20 +170,16 @@ def test_conditional_reruns_byte_identical(tmp_path):
 def test_conditional_rejects_unknown_loss(tmp_path):
     task = make_cond_point_cloud(4, 0.6, 0.05)
     with pytest.raises(ValueError, match="loss"):
-        train_conditional(
-            _cond_spec(), task, steps=1, batch_size=4, seed=0,
-            out_dir=tmp_path, loss_kind="wasserstein",
-        )
+        cfg = ExperimentConfig(steps=1, batch_size=4, seed=0, loss="wasserstein")
+        train_conditional(_cond_spec(), task, cfg, tmp_path)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_conditional_divergence_aborts_with_trace(tmp_path):
     task = make_cond_point_cloud(4, 0.6, 0.05)
     with pytest.raises(TrainingDiverged, match="step 2") as info:
-        train_conditional(
-            _cond_spec(), task, steps=5, batch_size=6, seed=0, out_dir=tmp_path,
-            noise_dim=3, lr=1e300,
-        )
+        cfg = ExperimentConfig(steps=5, batch_size=6, seed=0, noise_dim=3, lr=1e300)
+        train_conditional(_cond_spec(), task, cfg, tmp_path)
     assert info.value.step == 2
     rows = list(csv.reader(open(tmp_path / "metrics.csv")))
     assert [row[0] for row in rows[1:]] == ["1", "2"]  # the trace is kept
@@ -206,11 +201,11 @@ def test_gan_step_runs_the_generator_once(tmp_path, monkeypatch):
     counts = []
     for steps in (2, 3):
         calls.clear()
-        train_conditional(
-            _cond_spec(), task, steps=steps, batch_size=6, seed=0,
-            out_dir=tmp_path / str(steps), loss_kind="gan", noise_dim=3,
+        cfg = ExperimentConfig(
+            steps=steps, batch_size=6, seed=0, loss="gan", noise_dim=3,
             eval_samples=5, sweep_points=3, disc_hidden=8,
         )
+        train_conditional(_cond_spec(), task, cfg, tmp_path / str(steps))
         counts.append(len(calls))
     # one step: the generator's tape forward plus the diversity probe's two
     assert counts[1] - counts[0] == 3
@@ -231,11 +226,10 @@ def test_mmd_step_runs_the_generator_once(tmp_path, monkeypatch):
     counts = []
     for steps in (2, 3):
         calls.clear()
-        train_conditional(
-            _cond_spec(), task, steps=steps, batch_size=6, seed=0,
-            out_dir=tmp_path / str(steps), noise_dim=3, eval_samples=5,
-            sweep_points=3,
+        cfg = ExperimentConfig(
+            steps=steps, batch_size=6, seed=0, noise_dim=3, eval_samples=5, sweep_points=3
         )
+        train_conditional(_cond_spec(), task, cfg, tmp_path / str(steps))
         counts.append(len(calls))
     # one step: the generator's tape forward plus the diversity probe's two
     assert counts[1] - counts[0] == 3
@@ -257,10 +251,10 @@ def test_mmd_step_tape_has_no_transpose_and_few_nodes(tmp_path, monkeypatch):
         stream(0, "init"), (4, 4), (2, 2), rank=16, hidden_dim=8, out_dim=2,
         output_activation="tanh",
     )
-    train_conditional(
-        spec, make_cond_point_cloud(4, 0.6, 0.05), steps=2, batch_size=8, seed=0,
-        out_dir=tmp_path, noise_dim=4, eval_samples=5, sweep_points=3,
+    cfg = ExperimentConfig(
+        steps=2, batch_size=8, seed=0, noise_dim=4, eval_samples=5, sweep_points=3
     )
+    train_conditional(spec, make_cond_point_cloud(4, 0.6, 0.05), cfg, tmp_path)
     assert len(tapes) == 2
     for ops in tapes:
         assert "transpose" not in ops
