@@ -5,11 +5,12 @@ loss, then score generated samples by nearest cluster center."""
 import argparse
 import csv
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from cope.cli import cluster_task, run_experiment
+from cope.cli import cluster_task, exit_status, run_experiment
 from cope.config import resolve
 from cope.tasks import nearest_center
 
@@ -42,7 +43,8 @@ def main():
     print(f"final loss {float(loss):.4e} after {step} steps")
     print(f"nearest-center accuracy {accuracy:.4f} on {len(cls)} samples")
     print(f"artifacts in {args.out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_status(main))

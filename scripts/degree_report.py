@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
 """Probe the polynomial degree of a randomly initialized chain along its
-joint input ray and along each per-variable ray. Thin wrapper over the CLI."""
+joint input ray and along each per-variable ray. A preset
+`cope degree-report` run."""
 
 import argparse
-import json
-import os
 import sys
-import tempfile
 
-from cope.cli import main as cli_main
+from cope.cli import exit_status, run_experiment
+from cope.config import resolve
 
 
 def main():
@@ -19,17 +18,12 @@ def main():
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
 
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump({"variant": args.variant, "block_orders": args.orders}, fh)
-        cfg = fh.name
-    argv = ["degree-report", "--config", cfg, "--seed", str(args.seed)]
+    values = {"command": "degree-report", "variant": args.variant, "block_orders": args.orders}
+    overrides = {"seed": args.seed}
     if args.out:
-        argv += ["--out", args.out]
-    try:
-        return cli_main(argv)
-    finally:
-        os.remove(cfg)
+        overrides["output_dir"] = args.out
+    return run_experiment(resolve(values, overrides))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_status(main))

@@ -5,9 +5,10 @@ trained against a small two-hidden-layer discriminator instead of MMD."""
 import argparse
 import csv
 import os
+import sys
 from pathlib import Path
 
-from cope.cli import run_experiment
+from cope.cli import exit_status, run_experiment
 from cope.config import resolve
 
 
@@ -32,7 +33,8 @@ def main():
     step, loss = list(csv.reader((args.out / "metrics.csv").read_text().splitlines()))[-1][:2]
     print(f"final generator loss {float(loss):.4e} after {step} steps")
     print(f"artifacts in {args.out} (metrics.csv has the discriminator trace)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_status(main))

@@ -5,10 +5,11 @@ chain at matched parameter count, then print the MSE gap."""
 import argparse
 import csv
 import os
+import sys
 from pathlib import Path
 
 from cope.checkpoint import load_model
-from cope.cli import run_experiment
+from cope.cli import exit_status, run_experiment
 from cope.config import resolve
 from cope.training import count_parameters, matched_additive_rank
 
@@ -48,7 +49,8 @@ def main():
     print(f"additive rank {add_rank:3d}  {add_params:4d} params  "
           f"mse {add_mse:.3e}  ({add_steps} steps)")
     print(f"gap: {add_mse / ccp_mse:.0f}x   artifacts in {args.out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_status(main))

@@ -239,22 +239,29 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def main(argv=None) -> int:
-    overrides = vars(build_parser().parse_args(argv))
-    config = overrides.pop("config", None)
+def exit_status(run) -> int:
+    """`run()`'s exit code, or the code of its failure: 2 after
+    `config error: ...` when the config is rejected, 1 after the message
+    when the run stops on an error or diverges."""
     try:
-        cfg = resolve(load_file(config) if config else {}, overrides)
+        return run()
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    try:
-        return run_experiment(cfg)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except TrainingDiverged as e:
         print(f"training diverged: {e}", file=sys.stderr)
         return 1
+
+
+def main(argv=None) -> int:
+    overrides = vars(build_parser().parse_args(argv))
+    config = overrides.pop("config", None)
+    return exit_status(
+        lambda: run_experiment(resolve(load_file(config) if config else {}, overrides))
+    )
 
 
 if __name__ == "__main__":

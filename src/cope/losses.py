@@ -22,15 +22,9 @@ def mse_loss(pred, target):
     return (diff * diff).mean()
 
 
-def _classes(x):
-    """A (d, k, n) batch as is; a (d, n) batch as one class, (d, 1, n)."""
-    return x if x.ndim == 3 else x.reshape((x.shape[0], 1, x.shape[1]))
-
-
 def pairwise_sq_dists(x, y):
     """(k, n, m) squared distances between each class's columns of (d, k, n)
     and (d, k, m) batches; the difference form, as the tape's matmul is 2-D."""
-    x, y = _classes(x), _classes(y)
     d, k, n, m = *x.shape, y.shape[2]
     diff = x.reshape((d, k, n, 1)) - y.reshape((d, k, 1, m))
     return (diff * diff).sum(axis=0)
@@ -44,38 +38,32 @@ def _upper_triangle(n: int):
     return rows, cols
 
 
-def rbf_bandwidths(real, dyy=None):
+def rbf_bandwidths(dyy):
     """Each class's bandwidth ladder, (k, B), scaled by the median pairwise
     distance of its real samples (1.0 when that is 0 or there is one
-    sample); a 2-D batch gets one (B,) ladder. `dyy` is
-    `pairwise_sq_dists(real, real)`, built here when not given."""
-    real = np.asarray(real, dtype=np.float64)
-    dyy = pairwise_sq_dists(real, real) if dyy is None else dyy
+    sample); `dyy` is `pairwise_sq_dists(real, real)`."""
     med, m = np.ones(len(dyy)), dyy.shape[-1]
     if m >= 2:
         rows, cols = _upper_triangle(m)
         med = np.sqrt(np.maximum(np.median(dyy[:, rows, cols], axis=1), 0.0))
-    ladders = np.where(med > 0.0, med, 1.0)[:, None] * DEFAULT_BANDWIDTH_FACTORS
-    return ladders if real.ndim == 3 else ladders[0]
+    return np.where(med > 0.0, med, 1.0)[:, None] * DEFAULT_BANDWIDTH_FACTORS
 
 
-def mmd_loss(x, y, bandwidths, dyy=None):
+def mmd_loss(x, y, bandwidths, dyy):
     """Biased squared MMD of each class, summed over its RBF bandwidths: a
     (k,) vector for (d, k, n) fakes `x` against (d, k, m) reals `y`, with
-    one bandwidth ladder per class; 2-D batches and a flat ladder are one class.
+    one (k, B) bandwidth ladder per class and `dyy` the reals'
+    `pairwise_sq_dists(y, y)`.
 
     A V-statistic with all pair terms kept, so identical batches give
-    exactly zero and no value is negative (up to rounding). `dyy` is
-    `pairwise_sq_dists(y, y)`, built here when not given.
+    exactly zero and no value is negative (up to rounding).
     """
-    x, y = _classes(x), _classes(y)
-    (d, k, n), m = x.shape, y.shape[2]
-    if y.shape[:2] != (d, k) or n == 0 or m == 0:
+    if x.ndim != 3 or y.ndim != 3 or y.shape[:2] != x.shape[:2] or 0 in x.shape + y.shape:
         raise ValueError(f"mmd_loss: unequal or empty batches {x.shape}, {y.shape}")
-    bw = np.atleast_2d(np.asarray(bandwidths, dtype=np.float64))
-    if bw.size == 0 or np.any(bw <= 0.0) or bw.ndim != 2 or len(bw) != k:
+    (_, k, n), m = x.shape, y.shape[2]
+    bw = np.asarray(bandwidths, dtype=np.float64)
+    if bw.ndim != 2 or len(bw) != k or bw.size == 0 or np.any(bw <= 0.0):
         raise ValueError(f"bandwidths must be positive, one ladder per class: {bw}")
-    dyy = pairwise_sq_dists(y, y) if dyy is None else dyy
     # coefficients -0.5 / sigma^2 on a (B, k, 1, 1) grid: one exp over a
     # (B, k, n, m) product evaluates every class and every bandwidth
     coefs = (-0.5 / (bw * bw)).T[:, :, None, None]

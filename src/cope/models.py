@@ -313,17 +313,6 @@ def spade_forward_cols(blk: ChainBlock, z_noise, z_cond):
     return p["head"] @ y + _col(p["head_bias"])
 
 
-def concat_linear_forward(weights, inputs):
-    """Affine baseline on vectors: stack the inputs and apply one linear map."""
-    stacked = np.concatenate([np.asarray(z, dtype=np.float64) for z in inputs])
-    if stacked.shape[0] != weights.shape[0]:
-        raise ValueError(
-            f"concat_linear_forward weights expect {weights.shape[0]} stacked "
-            f"rows, got {stacked.shape[0]}"
-        )
-    return (weights.T @ stacked[:, None])[:, 0]
-
-
 @dataclass
 class ModelSpec:
     """Chain of polynomial blocks; degrees multiply along the chain."""
@@ -409,8 +398,17 @@ def init_block(rng, kind, input_dims, rank, out_dim, order, share_conditional=Fa
 
 
 def init_concat_linear(rng, input_dims, out_dim):
+    """The concat baseline W^T [z_0; z_1; ...] as the order-1 ccp block with
+    an identity head: one W drawn uniformly in +-1/sqrt(sum(input_dims)),
+    its rows split into the inputs' factors."""
     total = int(sum(input_dims))
-    return _uniform(rng, (total, out_dim), 1.0 / np.sqrt(total))
+    w = _uniform(rng, (total, out_dim), 1.0 / np.sqrt(total))
+    params = {
+        f"in1.v{phi}": rows
+        for phi, rows in enumerate(np.split(w, np.cumsum(input_dims)[:-1]))
+    }
+    params.update(head=np.eye(out_dim), head_bias=np.zeros(out_dim))
+    return ChainBlock("ccp", params, False, tuple(range(len(input_dims))))
 
 
 def init_chain(

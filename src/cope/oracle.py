@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ChainBlock, _prep_inputs
-from .tensors import khatri_rao_chain, mode_m_fold
+from .tensors import khatri_rao_chain, mode1_fold
 
 MAX_DIM = 8
 MAX_ORDER = 4
@@ -23,19 +23,18 @@ MAX_ORDER = 4
 def expansion_term_keys(order: int, n_variables: int):
     """Index tuples of every coefficient tensor in the expansion.
 
-    Two variables: (n, rho) with rho in [1, n+1]; modes [2, rho] contract
-    the first variable and modes [rho+1, n+1] the second. Three variables:
-    (n, rho, delta) with rho <= delta <= n+1; modes (rho, delta] contract
-    the second variable and modes (delta, n+1] the third.
+    A key is (n, b_1, ..., b_{V-1}) for order n and V variables, with
+    1 <= b_1 <= ... <= b_{V-1} <= n+1: the bounds that `mode_variables`
+    decodes into each variable's run of modes. With two variables, modes
+    [2, b_1] contract the first variable and modes [b_1+1, n+1] the second.
     """
-    keys = []
-    for n in range(1, order + 1):
-        for rho in range(1, n + 2):
-            if n_variables == 2:
-                keys.append((n, rho))
-            else:
-                keys.extend((n, rho, delta) for delta in range(rho, n + 2))
-    return keys
+    return [
+        (n,) + bounds
+        for n in range(1, order + 1)
+        for bounds in itertools.combinations_with_replacement(
+            range(1, n + 2), n_variables - 1
+        )
+    ]
 
 
 def mode_variables(key):
@@ -156,7 +155,7 @@ def build_coupled_tensors(blk: ChainBlock) -> OracleParams:
     tensors = {}
     for key, kr in chains.items():
         shape = (o,) + tuple(dims[phi] for phi in mode_variables(key))
-        tensors[key] = mode_m_fold(c @ kr.T, 1, shape)
+        tensors[key] = mode1_fold(c @ kr.T, shape)
     return OracleParams(
         order, dims, o, tensors, np.array(blk.params["head_bias"], dtype=np.float64)
     )

@@ -1,10 +1,10 @@
 """Dense tensor algebra used by the polynomial evaluators.
 
 Tensors are C-contiguous float64 ndarrays; modes are numbered from 1.
-Mode-m unfolding, which `mode_m_fold` inverts, maps element
-(i_1, ..., i_M) to row i_m and column
-j = 1 + sum_{k != m} (i_k - 1) * J_k with J_k = prod_{n < k, n != m} I_n,
-so the first remaining mode varies fastest along a row.
+The mode-1 unfolding, which `mode1_fold` inverts, maps element
+(i_1, ..., i_M) to row i_1 and column
+j = 1 + sum_{k >= 2} (i_k - 1) * J_k with J_k = prod_{2 <= n < k} I_n,
+so mode 2 varies fastest along a row.
 """
 
 from __future__ import annotations
@@ -14,20 +14,14 @@ from functools import reduce
 import numpy as np
 
 
-def mode_m_fold(mat, m: int, shape) -> np.ndarray:
-    """The tensor of the given shape whose mode-`m` unfolding (1-based,
-    columns in the layout above) is `mat`."""
+def mode1_fold(mat, shape) -> np.ndarray:
+    """The tensor of the given shape whose mode-1 unfolding (columns in the
+    layout above) is `mat`."""
     mat = np.asarray(mat, dtype=np.float64)
     shape = tuple(int(s) for s in shape)
-    if not 1 <= m <= len(shape):
-        raise ValueError(f"mode {m} out of range for an order-{len(shape)} tensor")
-    if mat.shape != (shape[m - 1], int(np.prod(shape)) // shape[m - 1]):
-        raise ValueError(
-            f"unfolded shape {mat.shape} does not match mode-{m} of {shape}"
-        )
-    rest = shape[:m - 1] + shape[m:]
-    folded = np.reshape(mat, (shape[m - 1],) + rest, order="F")
-    return np.ascontiguousarray(np.moveaxis(folded, 0, m - 1))
+    if mat.shape != (shape[0], int(np.prod(shape)) // shape[0]):
+        raise ValueError(f"unfolded shape {mat.shape} does not match mode 1 of {shape}")
+    return np.ascontiguousarray(np.reshape(mat, shape, order="F"))
 
 
 def khatri_rao(a, b) -> np.ndarray:

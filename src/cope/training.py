@@ -106,9 +106,9 @@ def _adam_settings(cfg: ExperimentConfig) -> dict:
     return dict(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
 
 
-def _fit(spec, cfg, out_dir, header, step_loss, stop_below) -> TrainResult:
+def _fit(spec, cfg, out_dir, header, step_loss) -> TrainResult:
     """Adam with `cfg`'s settings on `spec`'s parameters for `cfg.steps`
-    steps, one metrics row per step; a loss below `stop_below` (if not
+    steps, one metrics row per step; a loss below `cfg.stop_mse` (if not
     None) ends the run after its update.
 
     `step_loss(lifted)` returns the loss Var, the row's other losses and
@@ -131,7 +131,7 @@ def _fit(spec, cfg, out_dir, header, step_loss, stop_below) -> TrainResult:
             if not np.isfinite([value, *others]).all():
                 raise TrainingDiverged(step, value, metrics.path)
             adam_step(state, params, backward(tape, loss))
-            if stop_below is not None and value < stop_below:
+            if cfg.stop_mse is not None and value < cfg.stop_mse:
                 break
     finally:
         metrics.close()
@@ -151,7 +151,7 @@ def train_regression(
     def step_loss(lifted):
         return mse_loss(product_compose(lifted, inputs), targets), [], []
 
-    return _fit(spec, cfg, out_dir, ["step", "mse"], step_loss, cfg.stop_mse)
+    return _fit(spec, cfg, out_dir, ["step", "mse"], step_loss)
 
 
 def _dump_samples(spec, task, draw, per_class, path):
@@ -195,7 +195,9 @@ def train_conditional(
     spec: ModelSpec, task: CondPointCloud, cfg: ExperimentConfig, out_dir
 ) -> TrainResult:
     """Class-conditional generator training with `cfg`'s loss (MMD or
-    adversarial), noise, batch, seed, Adam and diagnostics settings.
+    adversarial), noise, batch, seed, steps, stop_mse, Adam and diagnostics
+    settings; `stop_mse` bounds the generator loss, the summed MMD or the
+    adversarial one.
 
     `cfg.batch_size` counts samples per class per step. Writes metrics.csv
     plus samples.csv (per-class draws) and sweep.csv (class interpolations).
@@ -232,7 +234,7 @@ def train_conditional(
             # the class axis, and the real distances built once a step
             real = real.reshape((-1, k, batch))
             dyy = pairwise_sq_dists(real, real)
-            parts = mmd_loss(fake.reshape(real.shape), real, rbf_bandwidths(real, dyy), dyy)
+            parts = mmd_loss(fake.reshape(real.shape), real, rbf_bandwidths(dyy), dyy)
             loss, others = parts.sum(), list(parts.value)
         else:
             # the discriminator steps on this forward's values before the
@@ -248,7 +250,7 @@ def train_conditional(
             loss, others = softplus(-logits).mean(), [float(loss_d.value)]
         return loss, others, [_diversity_probe(spec, task, draw)]
 
-    result = _fit(spec, cfg, out_dir, header, step_loss, None)
+    result = _fit(spec, cfg, out_dir, header, step_loss)
     _dump_samples(spec, task, draw, cfg.eval_samples, Path(out_dir) / "samples.csv")
     _dump_sweep(spec, task, draw, cfg.sweep_points, Path(out_dir) / "sweep.csv")
     return result

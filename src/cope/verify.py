@@ -18,7 +18,6 @@ from .models import (
     ChainBlock,
     ModelSpec,
     ccp_forward_cols,
-    concat_linear_forward,
     init_block,
     init_chain,
     init_concat_linear,
@@ -251,32 +250,30 @@ def run_reductions(rng, worst, instances: int = 50):
 
 @_suite("affineness", 4, 1e-9)
 def run_affineness(rng, worst, rays: int = 50):
-    """Additive and concat baselines have vanishing second differences on
-    every ray; a generic multiplicative recursion of order >= 2 does not."""
+    """The additive baseline and the concat baseline, an order-1 ccp block,
+    have vanishing second differences on every ray; a generic
+    multiplicative recursion of order >= 2 does not."""
     d1, d2, k, o = 4, 3, 5, 3
     curved = 0
     for r in range(rays):
         order = int(rng.integers(2, 4))
-        add = init_block(rng, "additive", (d1, d2), k, o, order)
-        lin = init_concat_linear(rng, (d1, d2), o)
+        add = _alone(init_block(rng, "additive", (d1, d2), k, o, order))
+        lin = _alone(init_concat_linear(rng, (d1, d2), o))
         ccp = _alone(init_block(rng, "ccp", (d1, d2), k, o, order))
         base = rng.uniform(-1, 1, d1 + d2)
         direction = rng.uniform(-1, 1, d1 + d2)
 
-        def second_diff(forward):
+        def second_diff(spec):
             vals = [
-                float(np.sum(forward([x[:d1], x[d1:]])))
+                float(np.sum(product_compose(spec, [x[:d1], x[d1:]])))
                 for x in (base, base + direction, base + 2.0 * direction)
             ]
             return abs(vals[0] - 2.0 * vals[1] + vals[2])
 
-        baselines = [
-            second_diff(lambda zs: ncp_forward_cols(add, [z[:, None] for z in zs])),
-            second_diff(lambda zs: concat_linear_forward(lin, zs)),
-        ]
+        baselines = [second_diff(add), second_diff(lin)]
         b = int(np.argmax(baselines))  # the first NaN, if any
         worst.add(baselines[b], ray=r, baseline=("additive", "concat")[b])
-        if second_diff(lambda zs: product_compose(ccp, zs)) > 1e-3:
+        if second_diff(ccp) > 1e-3:
             curved += 1
     fraction = curved / rays
     return {"curved_fraction": fraction}, fraction >= 0.95

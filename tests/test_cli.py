@@ -150,6 +150,15 @@ def test_train_conditional_smoke(tmp_path, capsys):
         assert (out / name).exists(), name
 
 
+def test_train_conditional_honours_stop_mse(tmp_path):
+    out = tmp_path / "run"
+    code = _tiny_run(tmp_path, "train-conditional", out, "--steps", "3", stop_mse=1e9)
+    assert code == 0
+    rows = (out / "metrics.csv").read_text().splitlines()
+    assert len(rows) == 2  # the header and step 1, whose loss is below 1e9
+    assert rows[1].startswith("1,")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_training_divergence_exits_1(tmp_path, capsys):
     cfgfile = tmp_path / "c.json"

@@ -39,56 +39,76 @@ class TestMse:
             mse_loss(np.zeros((1, 2)), np.zeros((2, 1)))
 
 
+def mmd(x, y, bandwidths):
+    """`mmd_loss` with the reals' distances built as training builds them."""
+    return mmd_loss(x, y, bandwidths, pairwise_sq_dists(y, y))
+
+
+def ladders(real):
+    return rbf_bandwidths(pairwise_sq_dists(real, real))
+
+
 class TestMmd:
+    """One class: (d, 1, n) batches and a (1, B) ladder."""
+
     def test_identical_batches_vanish(self):
         rng = np.random.default_rng(60)
-        x = rng.standard_normal((2, 10))
-        assert abs(mmd_loss(x, x.copy(), (0.5, 1.0))) < 1e-12
+        x = rng.standard_normal((2, 1, 10))
+        assert abs(mmd(x, x.copy(), [[0.5, 1.0]])[0]) < 1e-12
 
     def test_point_masses_closed_form(self):
-        x = np.zeros((2, 1))
-        y = np.array([[3.0], [4.0]])  # distance 5
+        x = np.zeros((2, 1, 1))
+        y = np.array([[[3.0]], [[4.0]]])  # distance 5
         sigma = 2.0
-        got = mmd_loss(x, y, (sigma,))
+        got = mmd(x, y, [[sigma]])
         want = 2.0 * (1.0 - np.exp(-25.0 / (2.0 * sigma**2)))
-        assert got == pytest.approx(want, abs=1e-12)
+        assert got[0] == pytest.approx(want, abs=1e-12)
 
     def test_symmetry_and_nonnegativity(self):
         rng = np.random.default_rng(61)
-        x = rng.standard_normal((3, 8))
-        y = rng.standard_normal((3, 5))
-        bw = rbf_bandwidths(y)
-        assert mmd_loss(x, y, bw) == pytest.approx(mmd_loss(y, x, bw), abs=1e-12)
-        assert mmd_loss(x, y, bw) > -1e-12
+        x = rng.standard_normal((3, 1, 8))
+        y = rng.standard_normal((3, 1, 5))
+        bw = ladders(y)
+        assert mmd(x, y, bw)[0] == pytest.approx(mmd(y, x, bw)[0], abs=1e-12)
+        assert mmd(x, y, bw)[0] > -1e-12
 
     def test_gradient_reaches_generator_side(self):
         rng = np.random.default_rng(62)
         tape = Tape()
-        x = tape.param("x", rng.standard_normal((2, 6)))
-        y = rng.standard_normal((2, 7))
-        loss = mmd_loss(x, y, (1.0, 2.0))
+        x = tape.param("x", rng.standard_normal((2, 1, 6)))
+        y = rng.standard_normal((2, 1, 7))
+        loss = mmd(x, y, [[1.0, 2.0]])
         grads = backward(tape, loss)
         assert np.isfinite(grads["x"]).all()
         assert np.any(grads["x"] != 0.0)
 
     def test_bandwidth_validation(self):
+        x = np.ones((1, 1, 2))
         with pytest.raises(ValueError, match="bandwidths must be positive"):
-            mmd_loss(np.ones((1, 2)), np.ones((1, 2)), (0.0,))
+            mmd(x, x, [[0.0]])
+        with pytest.raises(ValueError, match="one ladder per class"):
+            mmd(x, x, [1.0, 2.0])  # a flat ladder
+
+    def test_batches_have_a_class_axis(self):
+        with pytest.raises(ValueError, match="unequal or empty batches"):
+            mmd_loss(np.ones((1, 2)), np.ones((1, 1, 2)), [[1.0]], np.zeros((1, 2, 2)))
+        with pytest.raises(ValueError, match="unequal or empty batches"):
+            mmd(np.ones((1, 1, 0)), np.ones((1, 1, 2)), [[1.0]])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_separated_batches_score_higher_than_jittered(self, seed):
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((2, 16))
-        near = x + 0.01 * rng.standard_normal((2, 16))
+        x = rng.standard_normal((2, 1, 16))
+        near = x + 0.01 * rng.standard_normal((2, 1, 16))
         far = x + 10.0
-        bw = rbf_bandwidths(x)
-        assert mmd_loss(x, far, bw) > mmd_loss(x, near, bw)
+        bw = ladders(x)
+        assert mmd(x, far, bw)[0] > mmd(x, near, bw)[0]
 
 
 class TestBatchedMmd:
     """The (d, k, n) call scores every class at once; it must agree with k
-    separate 2-D calls, each with its own bandwidth ladder."""
+    separate one-class calls, each with its own bandwidth ladder."""
 
     @staticmethod
     def _batches():
@@ -100,39 +120,46 @@ class TestBatchedMmd:
 
     def test_matches_per_class_calls(self):
         x, y = self._batches()
-        bw = rbf_bandwidths(y)
+        bw = ladders(y)
         assert bw.shape == (3, 5)
         np.testing.assert_array_equal(bw[1], DEFAULT_BANDWIDTH_FACTORS)
-        got = mmd_loss(x, y, bw)
+        got = mmd(x, y, bw)
         assert got.shape == (3,)
         for c in range(3):
-            np.testing.assert_array_equal(bw[c], rbf_bandwidths(y[:, c]))
-            want = mmd_loss(x[:, c], y[:, c], rbf_bandwidths(y[:, c]))
+            one = slice(c, c + 1)
+            np.testing.assert_array_equal(bw[one], ladders(y[:, one]))
+            want = mmd(x[:, one], y[:, one], ladders(y[:, one]))
             np.testing.assert_allclose(got[c], want[0], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(
             got.sum(),
-            sum(mmd_loss(x[:, c], y[:, c], bw[c])[0] for c in range(3)),
+            sum(mmd(x[:, c:c + 1], y[:, c:c + 1], bw[c:c + 1])[0] for c in range(3)),
             rtol=1e-12,
             atol=0.0,
         )
 
-    def test_precomputed_real_distances_change_nothing(self):
+    def test_bandwidths_scale_with_the_median_real_distance(self):
         x, y = self._batches()
         dyy = pairwise_sq_dists(y, y)
         assert dyy.shape == (3, 7, 7)
-        bw = rbf_bandwidths(y)
-        np.testing.assert_array_equal(rbf_bandwidths(y, dyy), bw)
-        np.testing.assert_array_equal(mmd_loss(x, y, bw, dyy), mmd_loss(x, y, bw))
+        for c, ladder in enumerate(rbf_bandwidths(dyy)):
+            dists = [
+                np.linalg.norm(y[:, c, i] - y[:, c, j])
+                for i in range(7) for j in range(i + 1, 7)
+            ]
+            scale = np.median(dists) or 1.0  # 21 pairs: the median is one of them
+            np.testing.assert_allclose(
+                ladder, scale * np.array(DEFAULT_BANDWIDTH_FACTORS), rtol=1e-12
+            )
 
     def test_ladder_count_checked(self):
         x, y = self._batches()
         with pytest.raises(ValueError, match="one ladder per class"):
-            mmd_loss(x, y, np.ones((2, 5)))
+            mmd(x, y, np.ones((2, 5)))
 
     def test_finite_differences(self):
         x, y = self._batches()
-        bw = rbf_bandwidths(y)
-        err = finite_diff_check(lambda p: mmd_loss(p["x"], y, bw).sum(), {"x": x})
+        bw = ladders(y)
+        err = finite_diff_check(lambda p: mmd(p["x"], y, bw).sum(), {"x": x})
         assert err < 1e-5
 
 
@@ -144,11 +171,11 @@ class TestLossGradients:
 
     def test_mmd_five_bandwidths_unequal_batches(self):
         rng = np.random.default_rng(71)
-        x = rng.standard_normal((2, 5))
-        y = rng.standard_normal((2, 7))
-        bw = rbf_bandwidths(y)
-        assert len(bw) == 5
-        err = finite_diff_check(lambda p: mmd_loss(p["x"], y, bw), {"x": x})
+        x = rng.standard_normal((2, 1, 5))
+        y = rng.standard_normal((2, 1, 7))
+        bw = ladders(y)
+        assert bw.shape == (1, 5)
+        err = finite_diff_check(lambda p: mmd(p["x"], y, bw), {"x": x})
         assert err < 1e-5
 
     def test_mmd_through_centered_tanh_chain(self):
@@ -159,8 +186,8 @@ class TestLossGradients:
         )
         noise = rng.uniform(-1.0, 1.0, (3, 6))
         labels = one_hot(4, 1, 6)
-        real = rng.uniform(-0.5, 0.5, (2, 6))
-        bw = rbf_bandwidths(real)
+        real = rng.uniform(-0.5, 0.5, (2, 1, 6))
+        bw = ladders(real)
         params = model_parameters(chain)
         # centering cancels block 0's head bias: its gradient is exactly
         # zero, and central differences there measure only rounding noise
@@ -168,7 +195,8 @@ class TestLossGradients:
 
         def f(values):
             model = with_parameters(chain, {**values, **fixed})
-            return mmd_loss(product_compose(model, [noise, labels]), real, bw)
+            fake = product_compose(model, [noise, labels])
+            return mmd(fake.reshape(real.shape), real, bw)
 
         assert finite_diff_check(f, params) < 1e-5
         tape = Tape()

@@ -7,7 +7,6 @@ from cope.models import (
     ChainBlock,
     ModelSpec,
     ccp_forward_cols,
-    concat_linear_forward,
     init_block,
     init_chain,
     init_concat_linear,
@@ -79,10 +78,15 @@ class TestScalarUnrolls:
         assert run(ones_block("additive", 2), [[2.0], [3.0]]) == pytest.approx([12.0])
 
     def test_concat_linear(self):
-        weights = np.arange(6.0).reshape(3, 2)
+        # the order-1 ccp block with an identity head is W^T [z1; z2], with
+        # W drawn as one uniform (d1 + d2, o) matrix
+        blk = init_concat_linear(np.random.default_rng(5), (2, 1), 2)
+        scale = 1.0 / np.sqrt(3)
+        weights = np.random.default_rng(5).uniform(-scale, scale, (3, 2))
+        assert (blk.kind, blk.order, blk.input_dims) == ("ccp", 1, (2, 1))
         z1, z2 = np.array([1.0, 2.0]), np.array([3.0])
         expected = weights.T @ np.array([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(concat_linear_forward(weights, [z1, z2]), expected)
+        np.testing.assert_allclose(run(blk, [z1, z2]), expected, rtol=1e-12, atol=0.0)
 
 
 class TestBatchSemantics:

@@ -193,6 +193,15 @@ class TestModeVariables:
         assert mode_variables((2, 3, 3)) == (0, 0)
         assert mode_variables((2, 1, 1)) == (2, 2)
 
+    def test_term_keys_are_pinned(self):
+        # the order the oracle sums its terms in, and the order
+        # make_poly_regression draws its target tensors in
+        assert expansion_term_keys(2, 2) == [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)]
+        assert expansion_term_keys(2, 3) == [
+            (1, 1, 1), (1, 1, 2), (1, 2, 2),
+            (2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 2, 2), (2, 2, 3), (2, 3, 3),
+        ]
+
 
 class TestCoupledTensorBuild:
     def test_all_ones_cross_tensor_is_two(self):

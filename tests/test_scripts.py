@@ -1,5 +1,6 @@
-"""The training demos under scripts/ run end to end through `cope.cli`:
-each exits 0, prints its summary and leaves the command's artifacts."""
+"""The demo scripts under scripts/ run end to end through `cope.cli`:
+each exits 0, prints its summary and leaves the command's artifacts, and
+exits as `cope` does when its config is rejected."""
 
 import json
 import os
@@ -7,6 +8,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from cope.checkpoint import load_model
 from cope.training import count_parameters, matched_additive_rank
@@ -17,13 +20,17 @@ CONDITIONAL_FILES = sorted(REGRESSION_FILES + ["samples.csv", "sweep.csv"])
 NUMBER = r"[0-9.e+-]+"
 
 
-def _run(script, out):
-    """stdout lines of `script --steps 3 --out out`, which must exit 0."""
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--steps", "3", "--out", str(out)],
+def _script(script, *args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *map(str, args)],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True, text=True,
     )
+
+
+def _run(script, out):
+    """stdout lines of `script --steps 3 --out out`, which must exit 0."""
+    done = _script(script, "--steps", 3, "--out", out)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
 
@@ -69,3 +76,24 @@ def test_gan_demo_trains_the_adversarial_generator(tmp_path):
     assert _files(tmp_path) == CONDITIONAL_FILES
     resolved = json.loads((tmp_path / "resolved_config.json").read_text())
     assert resolved["loss"] == "gan"
+
+
+@pytest.mark.parametrize(
+    "script", ["regression_gap.py", "conditional_clusters.py", "gan_demo.py"]
+)
+def test_rejected_config_exits_2_and_writes_nothing(tmp_path, script):
+    out = tmp_path / "run"
+    done = _script(script, "--steps", 0, "--out", out)
+    assert done.returncode == 2
+    assert "config error: field 'steps'" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
+
+
+def test_degree_report_runs_its_preset(tmp_path):
+    done = _script("degree_report.py", "--orders", 2, 3, "--out", tmp_path)
+    assert done.returncode == 0, done.stderr
+    report = json.loads((tmp_path / "degree_report.json").read_text())
+    assert report["block_orders"] == [2, 3]
+    assert report["degrees"]["joint"] == 6
+    assert _files(tmp_path) == ["degree_report.json", "resolved_config.json"]

@@ -9,27 +9,24 @@ from cope.tensors import (
     hadamard,
     khatri_rao,
     khatri_rao_chain,
-    mode_m_fold,
+    mode1_fold,
 )
 
 
-def unfold_by_index_formula(t, m):
-    """Element-by-element reference: j = 1 + sum_{k!=m} (i_k - 1) J_k,
-    J_k = prod of the non-m dims before k."""
+def unfold_by_index_formula(t):
+    """Element-by-element reference: row i_1, column
+    j = 1 + sum_{k>=2} (i_k - 1) J_k, J_k = prod of the dims strictly
+    between mode 1 and mode k."""
     t = np.asarray(t, dtype=float)
     dims = t.shape
-    rows = dims[m - 1]
-    cols = int(np.prod(dims)) // rows
-    out = np.zeros((rows, cols))
+    out = np.zeros((dims[0], int(np.prod(dims)) // dims[0]))
     for idx in itertools.product(*[range(d) for d in dims]):
         j = 0
         stride = 1
-        for k, i_k in enumerate(idx):
-            if k == m - 1:
-                continue
-            j += i_k * stride
+        for k in range(1, len(dims)):
+            j += idx[k] * stride
             stride *= dims[k]
-        out[idx[m - 1], j] = t[idx]
+        out[idx[0], j] = t[idx]
     return out
 
 
@@ -38,31 +35,26 @@ class TestUnfold:
         # the reference unfolds a folded matrix back to that matrix
         rng = np.random.default_rng(7)
         for shape in [(2, 3), (2, 3, 4), (3, 2, 4, 2)]:
-            for m in range(1, len(shape) + 1):
-                mat = rng.standard_normal((shape[m - 1], np.prod(shape) // shape[m - 1]))
-                np.testing.assert_array_equal(
-                    unfold_by_index_formula(mode_m_fold(mat, m, shape), m), mat
-                )
+            mat = rng.standard_normal((shape[0], np.prod(shape) // shape[0]))
+            np.testing.assert_array_equal(
+                unfold_by_index_formula(mode1_fold(mat, shape)), mat
+            )
 
     def test_matrix_modes(self):
         a = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(mode_m_fold(a, 1, a.shape), a)
-        np.testing.assert_array_equal(mode_m_fold(a.T, 2, a.shape), a)
+        np.testing.assert_array_equal(mode1_fold(a, a.shape), a)
 
     def test_fold_roundtrip(self):
         rng = np.random.default_rng(8)
         t = rng.standard_normal((3, 4, 2, 5))
-        for m in range(1, 5):
-            np.testing.assert_array_equal(
-                mode_m_fold(unfold_by_index_formula(t, m), m, t.shape), t
-            )
+        folded = mode1_fold(unfold_by_index_formula(t), t.shape)
+        np.testing.assert_array_equal(folded, t)
+        assert folded.flags.c_contiguous
 
-    def test_mode_out_of_range(self):
-        mat = np.zeros((2, 4))
-        with pytest.raises(ValueError, match="mode 4 out of range for an order-3"):
-            mode_m_fold(mat, 4, (2, 2, 2))
-        with pytest.raises(ValueError, match="mode 0"):
-            mode_m_fold(mat, 0, (2, 2, 2))
+    def test_unfolded_shape_mismatch(self):
+        # as many entries as the tensor, but not its mode-1 rows
+        with pytest.raises(ValueError, match=r"unfolded shape \(4, 2\) does not match"):
+            mode1_fold(np.zeros((4, 2)), (2, 2, 2))
 
 
 class TestKhatriRao:
@@ -114,4 +106,4 @@ class TestCpReconstruct:
         factors = [rng.standard_normal((d, 3)) for d in (2, 4, 3)]
         t = np.einsum("ar,br,cr->abc", *factors)
         expected = factors[0] @ khatri_rao_chain(factors[:0:-1]).T
-        np.testing.assert_allclose(unfold_by_index_formula(t, 1), expected, atol=1e-12)
+        np.testing.assert_allclose(unfold_by_index_formula(t), expected, atol=1e-12)
