@@ -4,13 +4,12 @@ loss, then score generated samples by nearest cluster center."""
 
 import argparse
 import csv
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from cope.cli import cluster_task, exit_status, run_experiment
+from cope.cli import cluster_task, exit_status, run_experiment, runs_root
 from cope.config import resolve
 from cope.tasks import nearest_center
 
@@ -21,8 +20,7 @@ def main():
     ap.add_argument("--steps", type=int, default=1000)
     ap.add_argument("--classes", type=int, default=4)
     ap.add_argument("--noise-dim", type=int, default=4)
-    ap.add_argument("--out", type=Path,
-                    default=Path(os.environ.get("COPE_OUT", "cope_runs")) / "conditional_clusters")
+    ap.add_argument("--out", type=Path, default=runs_root() / "conditional_clusters")
     args = ap.parse_args()
 
     values = {

@@ -4,11 +4,10 @@ trained against a small two-hidden-layer discriminator instead of MMD."""
 
 import argparse
 import csv
-import os
 import sys
 from pathlib import Path
 
-from cope.cli import exit_status, run_experiment
+from cope.cli import exit_status, run_experiment, runs_root
 from cope.config import resolve
 
 
@@ -17,8 +16,7 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--steps", type=int, default=2000)
     ap.add_argument("--disc-hidden", type=int, default=32)
-    ap.add_argument("--out", type=Path,
-                    default=Path(os.environ.get("COPE_OUT", "cope_runs")) / "gan_demo")
+    ap.add_argument("--out", type=Path, default=runs_root() / "gan_demo")
     args = ap.parse_args()
 
     values = {

@@ -4,12 +4,11 @@ chain at matched parameter count, then print the MSE gap."""
 
 import argparse
 import csv
-import os
 import sys
 from pathlib import Path
 
 from cope.checkpoint import load_model
-from cope.cli import exit_status, run_experiment
+from cope.cli import exit_status, run_experiment, runs_root
 from cope.config import resolve
 from cope.training import count_parameters, matched_additive_rank
 
@@ -20,8 +19,7 @@ def main():
     ap.add_argument("--steps", type=int, default=20000)
     ap.add_argument("--rank", type=int, default=16)
     ap.add_argument("--degree", type=int, default=3)
-    ap.add_argument("--out", type=Path,
-                    default=Path(os.environ.get("COPE_OUT", "cope_runs")) / "regression_gap")
+    ap.add_argument("--out", type=Path, default=runs_root() / "regression_gap")
     args = ap.parse_args()
 
     def fit(variant, rank):

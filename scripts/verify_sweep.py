@@ -11,10 +11,10 @@ any row fails.
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
+from cope.cli import runs_root
 from cope.verify import run_suites
 
 FIELDS = ("seed", "suite", "verdict", "trials", "max_deviation", "tolerance", "worst")
@@ -35,8 +35,7 @@ def main():
     )
     ap.add_argument("seeds", nargs="+", type=seed_range, metavar="SEEDS",
                     help="a seed or an inclusive range such as 0-49")
-    ap.add_argument("--out", type=Path,
-                    default=Path(os.environ.get("COPE_OUT", "cope_runs")) / "verify_sweep")
+    ap.add_argument("--out", type=Path, default=runs_root() / "verify_sweep")
     args = ap.parse_args()
     seeds = list(dict.fromkeys(s for r in args.seeds for s in r))
 

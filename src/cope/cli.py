@@ -37,13 +37,17 @@ from .verify import degree_ray, run_suites
 import numpy as np
 
 
+def runs_root() -> Path:
+    """Where runs land by default: $COPE_OUT, or ./cope_runs when it is unset."""
+    return Path(os.environ.get("COPE_OUT", "cope_runs"))
+
+
 def resolve_output_dir(cfg: ExperimentConfig) -> Path:
-    """`output_dir` if set, else $COPE_OUT (default ./cope_runs) plus a
-    per-command, per-seed leaf so repeat runs land in stable places."""
+    """`output_dir` if set, else the runs root plus a per-command, per-seed
+    leaf so repeat runs land in stable places."""
     if cfg.output_dir:
         return Path(cfg.output_dir)
-    root = os.environ.get("COPE_OUT", "cope_runs")
-    return Path(root) / f"{cfg.command}-seed{cfg.seed}"
+    return runs_root() / f"{cfg.command}-seed{cfg.seed}"
 
 
 def _regression_data(cfg: ExperimentConfig):

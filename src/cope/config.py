@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .oracle import MAX_DIM, MAX_ORDER
+from .tasks import make_cond_point_cloud
 from .verify import SUITES
 
 
@@ -109,49 +110,48 @@ _ENUMS = {
     "loss": ("mmd", "gan"),
 }
 
-_POSITIVE_INTS = (
-    "rank",
-    "hidden_dim",
-    "n_classes",
-    "target_degree",
-    "input_dim",
-    "output_dim",
-    "train_samples",
-    "noise_dim",
-    "signal_length",
-    "downsample_factor",
-    "batch_size",
-    "steps",
-    "eval_samples",
-    "disc_hidden",
-    "probe_max_order",
-)
+# the numeric fields that need not be positive, each with its range [lo, hi);
+# every other number must be positive
+_RANGES = {"seed": (0, 2**64), "beta1": (0, 1), "beta2": (0, 1), "sweep_points": (2, math.inf)}
 
-_POSITIVE_FLOATS = ("cluster_radius", "cluster_std", "lr", "eps")
-
-
-def _coerce(name: str, value):
-    if name in ("block_orders", "suites"):
-        if isinstance(value, (list, tuple)):
-            return tuple(value)
-        raise ConfigError(f"field '{name}' must be a list, got {value!r}")
-    if name in ("share_conditional", "reconsume_conditional"):
-        if isinstance(value, bool):
-            return value
-        raise ConfigError(f"field '{name}' must be a boolean, got {value!r}")
-    return value
+# a declared type: the Python types of the values it takes, and their name
+_KINDS = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a finite number"),
+    "bool": (bool, "a boolean"),
+    "str": (str, "a string"),
+    "tuple": ((list, tuple), "a list"),
+}
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_real(v) -> bool:
-    """An int or a finite float: JSON's NaN and Infinity are not settings."""
-    return math.isfinite(v) if isinstance(v, float) else _is_int(v)
+def _typed(name: str, value):
+    """`value` checked against field `name`'s declared type. A bool is never
+    a number. A float field also takes an int, but not JSON's NaN and
+    Infinity, nor an int too large for a float. A list becomes a tuple, and
+    a `| None` declaration admits null."""
+    declared = _FIELDS[name].type
+    kind = declared.removesuffix(" | None")
+    if value is None and kind != declared:
+        return value
+    types, what = _KINDS[kind]
+    ok = isinstance(value, types) and (kind == "bool" or not isinstance(value, bool))
+    if ok and kind == "float":
+        try:
+            ok = math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            ok = False
+    if not ok:
+        null = " or null" if kind != declared else ""
+        raise ConfigError(f"field '{name}' must be {what}{null}, got {value!r}")
+    return tuple(value) if kind == "tuple" else value
 
 
 def validate(cfg: ExperimentConfig) -> ExperimentConfig:
+    """Check the ranges and cross-field rules of a config of declared types."""
     for name, allowed in _ENUMS.items():
         v = getattr(cfg, name)
         if v not in allowed:
@@ -164,37 +164,28 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
             f"field 'task' must be one of {list(tasks)} for command "
             f"'{cfg.command}', got {cfg.task!r}"
         )
-    for name in _POSITIVE_INTS:
+    for name, f in _FIELDS.items():
         v = getattr(cfg, name)
-        if not _is_int(v) or v < 1:
-            raise ConfigError(f"field '{name}' must be a positive integer, got {v!r}")
-    for name in _POSITIVE_FLOATS:
-        v = getattr(cfg, name)
-        if not _is_real(v) or v <= 0:
-            raise ConfigError(f"field '{name}' must be positive and finite, got {v!r}")
-    if not _is_int(cfg.seed) or not 0 <= cfg.seed < 2**64:
-        raise ConfigError(f"field 'seed' must be an integer in [0, 2**64), got {cfg.seed!r}")
+        if name in _RANGES:
+            lo, hi = _RANGES[name]
+            if not lo <= v < hi:
+                raise ConfigError(f"field '{name}' must be in [{lo}, {hi}), got {v!r}")
+        elif f.type.removesuffix(" | None") in ("int", "float") and v is not None and v <= 0:
+            raise ConfigError(f"field '{name}' must be positive, got {v!r}")
     if not cfg.block_orders or any(
         not _is_int(n) or n < 1 for n in cfg.block_orders
     ):
         raise ConfigError(
             f"field 'block_orders' must be positive integers, got {cfg.block_orders!r}"
         )
-    for name in ("beta1", "beta2"):
-        v = getattr(cfg, name)
-        if not _is_real(v) or not 0 <= v < 1:
-            raise ConfigError(f"field '{name}' must be in [0, 1), got {v!r}")
     if cfg.task == "poly-regression":
         # the target is materialized by the brute-force oracle
-        if cfg.target_degree > MAX_ORDER:
-            raise ConfigError(
-                f"field 'target_degree' must be at most {MAX_ORDER} for task "
-                f"'poly-regression', got {cfg.target_degree!r}"
-            )
-        for name in ("input_dim", "output_dim"):
-            if getattr(cfg, name) > MAX_DIM:
+        for name, most in (
+            ("target_degree", MAX_ORDER), ("input_dim", MAX_DIM), ("output_dim", MAX_DIM)
+        ):
+            if getattr(cfg, name) > most:
                 raise ConfigError(
-                    f"field '{name}' must be at most {MAX_DIM} for task "
+                    f"field '{name}' must be at most {most} for task "
                     f"'poly-regression', got {getattr(cfg, name)!r}"
                 )
     if cfg.task == "downsample-1d" and cfg.signal_length % cfg.downsample_factor:
@@ -202,17 +193,7 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
             f"field 'signal_length' ({cfg.signal_length}) must be divisible by "
             f"'downsample_factor' ({cfg.downsample_factor})"
         )
-    if cfg.stop_mse is not None and (not _is_real(cfg.stop_mse) or cfg.stop_mse <= 0):
-        raise ConfigError(
-            f"field 'stop_mse' must be positive and finite, or null, got {cfg.stop_mse!r}"
-        )
-    if not _is_int(cfg.sweep_points) or cfg.sweep_points < 2:
-        raise ConfigError(
-            f"field 'sweep_points' must be an integer of at least 2, got {cfg.sweep_points!r}"
-        )
-    if any(not isinstance(s, str) for s in cfg.suites):
-        raise ConfigError(f"field 'suites' must be suite names, got {cfg.suites!r}")
-    unknown = [s for s in cfg.suites if s not in SUITES]
+    unknown = [s for s in cfg.suites if s not in tuple(SUITES)]  # a list is unhashable
     if unknown:
         raise ConfigError(
             f"field 'suites' names unknown suite(s) {unknown}; available: {list(SUITES)}"
@@ -220,6 +201,12 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     repeated = [s for i, s in enumerate(cfg.suites) if s in cfg.suites[:i]]
     if repeated:
         raise ConfigError(f"field 'suites' names suite(s) {repeated} more than once")
+    if cfg.command == "train-conditional":
+        try:
+            make_cond_point_cloud(cfg.n_classes, cfg.cluster_radius, cfg.cluster_std)
+        except ValueError as e:
+            names = "fields 'n_classes', 'cluster_radius' and 'cluster_std'"
+            raise ConfigError(f"{names}: {e}") from e
     return cfg
 
 
@@ -235,13 +222,7 @@ def resolve(file_values: dict | None, overrides: dict | None = None) -> Experime
         if unknown:
             raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
         for k, v in source.items():
-            merged[k] = _coerce(k, v)
-    for name in ("rank", "hidden_dim", "steps", "seed"):
-        v = merged.get(name)
-        if isinstance(v, float):
-            if not v.is_integer():  # false for NaN and +-inf too
-                raise ConfigError(f"field '{name}' must be an integer, got {v!r}")
-            merged[name] = int(v)
+            merged[k] = _typed(k, v)
     cfg = ExperimentConfig(**merged)
     if "task" not in merged and cfg.command in _ENUMS["command"]:
         cfg.task = COMMANDS[cfg.command].tasks[0]
@@ -253,7 +234,7 @@ def load_file(path) -> dict:
         doc = json.loads(Path(path).read_text())
     except OSError as e:
         raise ConfigError(f"config {path} cannot be read: {e.strerror}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # undecodable bytes and over-long integers too
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must hold a JSON object")

@@ -12,31 +12,26 @@ from .oracle import OracleParams, eval_explicit, expansion_term_keys, mode_varia
 
 @dataclass
 class CondPointCloud:
-    """Gaussian blobs on a circle; class identity is the conditioning input."""
+    """Isotropic Gaussian blobs; class identity is the conditioning input."""
 
     means: np.ndarray  # (n_classes, 2)
-    covs: np.ndarray  # (n_classes, 2, 2)
+    std: float  # of each coordinate, in every class
 
     def __post_init__(self):
         self.means = np.asarray(self.means, dtype=np.float64)
-        self.covs = np.asarray(self.covs, dtype=np.float64)
         k = self.means.shape[0]
         if self.means.ndim != 2 or self.means.shape[1] != 2:
             raise ValueError(f"means must be (n_classes, 2), got {self.means.shape}")
-        if self.covs.shape != (k, 2, 2):
-            raise ValueError(f"covs must be ({k}, 2, 2), got {self.covs.shape}")
-        spreads = [float(np.sqrt(np.linalg.eigvalsh(c)[-1])) for c in self.covs]
         gaps = [
             float(np.linalg.norm(self.means[i] - self.means[j]))
             for i in range(k)
             for j in range(i + 1, k)
         ]
-        if gaps and min(gaps) < 4.0 * max(spreads):
+        if gaps and min(gaps) < 4.0 * self.std:
             raise ValueError(
                 f"clusters overlap: min mean gap {min(gaps):.4f} is below "
-                f"4 x max std {4.0 * max(spreads):.4f}"
+                f"4 x std {4.0 * self.std:.4f}"
             )
-        self._chols = np.array([np.linalg.cholesky(c) for c in self.covs])
 
     @property
     def n_classes(self) -> int:
@@ -47,16 +42,13 @@ class CondPointCloud:
         if not 0 <= cls < self.n_classes:
             raise ValueError(f"class {cls} outside [0, {self.n_classes})")
         raw = rng.standard_normal((2, n))
-        return self.means[cls][:, None] + self._chols[cls] @ raw
+        return self.means[cls][:, None] + self.std * raw
 
 
-def make_cond_point_cloud(
-    n_classes: int = 4, radius: float = 0.6, std: float = 0.05
-) -> CondPointCloud:
+def make_cond_point_cloud(n_classes: int, radius: float, std: float) -> CondPointCloud:
     angles = 2.0 * np.pi * np.arange(n_classes) / n_classes + np.pi / 4.0
     means = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    covs = np.tile((std**2) * np.eye(2), (n_classes, 1, 1))
-    return CondPointCloud(means=means, covs=covs)
+    return CondPointCloud(means=means, std=std)
 
 
 def nearest_center(task: CondPointCloud, samples) -> np.ndarray:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from cope.checkpoint import load_model
 from cope.cli import _RUNNERS, build_parser, main, resolve_output_dir
 from cope.config import COMMANDS, resolve
 
@@ -77,6 +78,10 @@ def test_invalid_field_exits_2(tmp_path, capsys):
         ({"cluster_std": math.nan}, "cluster_std"),
         ({"eps": math.inf}, "eps"),
         ({"stop_mse": math.nan}, "stop_mse"),
+        ({"output_dir": 5}, "output_dir"),
+        ({"output_dir": ["a"]}, "output_dir"),
+        ({"rank": 8.0}, "rank"),
+        ({"lr": 10**400}, "lr"),  # an int too large for a float
     ],
 )
 def test_out_of_range_config_exits_2_and_writes_nothing(tmp_path, capsys, values, field):
@@ -87,6 +92,17 @@ def test_out_of_range_config_exits_2_and_writes_nothing(tmp_path, capsys, values
     code = main(["train-regression", "--config", str(cfgfile), "--out", str(out)])
     assert code == 2
     assert field in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "values", [{"cluster_std": 0.5}, {"cluster_radius": 0.01}, {"n_classes": 40}]
+)
+def test_overlapping_clusters_exit_2_and_write_nothing(tmp_path, capsys, values):
+    out = tmp_path / "run"
+    out.mkdir()
+    assert _tiny_run(tmp_path, "train-conditional", out, **values) == 2
+    assert f"'{next(iter(values))}'" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
@@ -196,6 +212,18 @@ def test_degree_report_matches_nominal_order(tmp_path, capsys):
     assert report["nominal_order"] == 4
     assert report["degrees"]["joint"] == 4
     assert "degree along joint ray: 4" in capsys.readouterr().out
+
+
+def test_downsample_task_trains_and_reports_its_degree(tmp_path):
+    values = {"task": "downsample-1d", "block_orders": [2, 2]}
+    out = tmp_path / "train"
+    assert _tiny_run(tmp_path, "train-regression", out, "--steps", "3", **values) == 0
+    assert (out / "metrics.csv").read_text().count("\n") == 4  # the header and 3 steps
+    assert load_model(out / "checkpoint.json").var_dims == (8,)
+    report = tmp_path / "report"
+    assert _tiny_run(tmp_path, "degree-report", report, **values) == 0
+    degrees = json.loads((report / "degree_report.json").read_text())["degrees"]
+    assert degrees == {"joint": 4, "input0": 4}
 
 
 def test_degree_report_reads_a_deep_chain_exactly(tmp_path):

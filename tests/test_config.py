@@ -1,11 +1,14 @@
+import dataclasses
 import json
 
 import pytest
 
 from cope.cli import main
 from cope.config import (
+    _KINDS,
     ConfigError,
     ExperimentConfig,
+    _typed,
     dump_resolved,
     load_file,
     resolve,
@@ -77,6 +80,14 @@ def test_load_file_rejects_non_object(tmp_path):
     p.write_text("{not json")
     with pytest.raises(ConfigError, match="JSON"):
         load_file(p)
+    p.write_bytes(b'{"lr": \xff}')
+    with pytest.raises(ConfigError, match="JSON"):
+        load_file(p)
+    # json refuses an integer of over 4,300 digits (a ValueError) where
+    # Python limits int parsing; elsewhere it is too large for a float
+    p.write_text('{"lr": 1' + "0" * 5000 + "}")
+    with pytest.raises(ConfigError):
+        resolve(load_file(p), {})
 
 
 def test_dump_resolved_round_trips(tmp_path):
@@ -128,3 +139,10 @@ def test_a_suite_named_twice_is_rejected(tmp_path):
     argv = ["verify", "--suite", "lemma1", "--suite", "lemma1", "--out", str(out)]
     assert main(argv) == 2
     assert not out.exists()
+
+
+def test_every_field_declares_a_type_the_gate_checks():
+    defaults = ExperimentConfig()
+    for f in dataclasses.fields(ExperimentConfig):
+        assert f.type.removesuffix(" | None") in _KINDS, (f.name, f.type)
+        assert _typed(f.name, getattr(defaults, f.name)) == getattr(defaults, f.name)

@@ -34,6 +34,18 @@ def test_cloud_sampling_shape_and_locality():
     assert np.all(np.linalg.norm(pts - center[:, None], axis=0) < 0.5)
 
 
+@pytest.mark.parametrize("seed", [0, 7, 101])
+@pytest.mark.parametrize("std", [1e-6, 0.05, 0.37, 3.0, 10.0])
+def test_cloud_sampling_is_the_cholesky_draw(std, seed):
+    # the isotropic draw keeps every byte of a full-covariance Cholesky draw
+    task = make_cond_point_cloud(4, 50.0, std)
+    chol = np.linalg.cholesky(std**2 * np.eye(2))
+    for cls in range(4):
+        raw = stream(seed, "data").standard_normal((2, 300))
+        want = task.means[cls][:, None] + chol @ raw
+        np.testing.assert_array_equal(task.sample(stream(seed, "data"), cls, 300), want)
+
+
 def test_nearest_center_on_the_centers():
     task = make_cond_point_cloud(4, 0.6, 0.05)
     got = nearest_center(task, task.means.T)
@@ -41,10 +53,7 @@ def test_nearest_center_on_the_centers():
 
 
 def test_nearest_center_column_convention():
-    task = CondPointCloud(
-        means=np.array([[0.0, 0.0], [1.0, 0.0]]),
-        covs=np.tile(0.01 * np.eye(2), (2, 1, 1)),
-    )
+    task = CondPointCloud(means=np.array([[0.0, 0.0], [1.0, 0.0]]), std=0.1)
     pts = np.array([[0.1, 0.9, 0.49], [0.0, 0.1, 0.0]])
     np.testing.assert_array_equal(nearest_center(task, pts), [0, 1, 0])
 
