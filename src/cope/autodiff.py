@@ -171,28 +171,6 @@ def softplus(x):
     return x.softplus() if isinstance(x, Var) else np.logaddexp(0.0, x)
 
 
-def concat_rows(parts):
-    """Stack matrices along rows; differentiable when any part is a Var."""
-    parts = list(parts)
-    if not any(isinstance(p, Var) for p in parts):
-        return np.concatenate([np.asarray(p, dtype=np.float64) for p in parts], axis=0)
-    tape = next(p.tape for p in parts if isinstance(p, Var))
-    vars_ = [p if isinstance(p, Var) else tape.constant(p) for p in parts]
-    cols = {v.shape[1] for v in vars_}
-    if any(v.ndim != 2 for v in vars_) or len(cols) != 1:
-        raise ValueError(
-            "concat_rows expects matrices with equal column counts, got "
-            + str([v.shape for v in vars_])
-        )
-    rows = [v.shape[0] for v in vars_]
-    return tape._push(
-        "concat_rows",
-        np.concatenate([v.value for v in vars_], axis=0),
-        tuple(v.nid for v in vars_),
-        ctx=rows,
-    )
-
-
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     if g.shape == shape:
         return g
@@ -210,11 +188,6 @@ def _sum_backward(node, g, nodes):
     if axis is not None and not keepdims:
         g = np.expand_dims(g, axis)
     return (np.broadcast_to(g, in_shape),)
-
-
-def _concat_backward(node, g, nodes):
-    offsets = np.cumsum([0] + node.ctx)
-    return tuple(g[offsets[i] : offsets[i + 1]] for i in range(len(node.ctx)))
 
 
 _RULES: dict[str, Callable] = {
@@ -249,7 +222,6 @@ _RULES: dict[str, Callable] = {
     ),
     "sum": _sum_backward,
     "reshape": lambda n, g, v: (np.reshape(g, n.ctx),),
-    "concat_rows": _concat_backward,
     "custom": lambda n, g, v: n.ctx(g),
 }
 

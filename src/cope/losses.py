@@ -78,11 +78,17 @@ def mmd_loss(x, y, bandwidths, dyy):
     )
 
 
-def nonsat_gan_losses(real_logits, fake_logits):
-    """Non-saturating losses: (discriminator, generator)."""
-    loss_d = softplus(-real_logits).mean() + softplus(fake_logits).mean()
-    loss_g = softplus(-fake_logits).mean()
-    return loss_d, loss_g
+def discriminator_loss(logits):
+    """Non-saturating discriminator loss of (1, 2n) logits, n reals then n
+    fakes: mean softplus(-real) + mean softplus(fake)."""
+    n = logits.shape[1] // 2
+    sign = np.repeat([-1.0, 1.0], n)
+    return softplus(logits * sign).sum() * (1.0 / n)
+
+
+def generator_loss(fake_logits):
+    """Non-saturating generator loss: mean softplus(-fake)."""
+    return softplus(-fake_logits).mean()
 
 
 def diversity_regularizer(out_a, out_b, z_a, z_b, cap: float = 10.0) -> float:

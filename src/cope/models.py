@@ -478,11 +478,15 @@ def spade_config(blk: ChainBlock) -> ChainBlock:
     return replace(blk, kind="ncp", params=params, share_conditional=False)
 
 
-def init_discriminator(rng, in_dim, hidden):
-    """Two-hidden-layer tanh scorer used by the adversarial demo."""
+def init_discriminator(rng, x_dim, c_dim, hidden):
+    """Two-hidden-layer tanh scorer of a (sample, label) pair, used by the
+    adversarial demo. The first layer's matrix is drawn over the stacked
+    input and kept as its sample and label column blocks."""
     s2 = 1.0 / np.sqrt(hidden)
+    w1 = _uniform(rng, (hidden, x_dim + c_dim), 1.0 / np.sqrt(x_dim + c_dim))
     return {
-        "w1": _uniform(rng, (hidden, in_dim), 1.0 / np.sqrt(in_dim)),
+        "w1x": w1[:, :x_dim].copy(),
+        "w1c": w1[:, x_dim:].copy(),
         "b1": np.zeros(hidden),
         "w2": _uniform(rng, (hidden, hidden), s2),
         "b2": np.zeros(hidden),
@@ -491,8 +495,9 @@ def init_discriminator(rng, in_dim, hidden):
     }
 
 
-def discriminator_forward(params, x):
-    h = tanh(params["w1"] @ x + _col(params["b1"]))
+def discriminator_forward(params, x, c):
+    """(1, n) logits of the n sample columns of `x` under the label columns of `c`."""
+    h = tanh(params["w1x"] @ x + params["w1c"] @ c + _col(params["b1"]))
     h = tanh(params["w2"] @ h + _col(params["b2"]))
     return params["w3"] @ h + _col(params["b3"])
 

@@ -22,14 +22,15 @@ class CondPointCloud:
         k = self.means.shape[0]
         if self.means.ndim != 2 or self.means.shape[1] != 2:
             raise ValueError(f"means must be (n_classes, 2), got {self.means.shape}")
-        gaps = [
-            float(np.linalg.norm(self.means[i] - self.means[j]))
-            for i in range(k)
-            for j in range(i + 1, k)
-        ]
-        if gaps and min(gaps) < 4.0 * self.std:
+        # one row of gaps per mean, to the means after it: O(k) memory
+        gap = min(
+            (np.linalg.norm(self.means[i + 1 :] - self.means[i], axis=1).min()
+             for i in range(k - 1)),
+            default=np.inf,
+        )
+        if gap < 4.0 * self.std:
             raise ValueError(
-                f"clusters overlap: min mean gap {min(gaps):.4f} is below "
+                f"clusters overlap: min mean gap {gap:.4f} is below "
                 f"4 x std {4.0 * self.std:.4f}"
             )
 

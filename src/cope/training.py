@@ -14,13 +14,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .autodiff import Tape, backward, concat_rows, softplus
+from .autodiff import Tape, backward
 from .checkpoint import save_model
 from .losses import (
+    discriminator_loss,
     diversity_regularizer,
+    generator_loss,
     mmd_loss,
     mse_loss,
-    nonsat_gan_losses,
     pairwise_sq_dists,
     rbf_bandwidths,
 )
@@ -210,7 +211,7 @@ def train_conditional(
     diag_rng = stream(cfg.seed, "diag")
     if cfg.loss == "gan":
         disc = init_discriminator(
-            stream(cfg.seed, "init", 1), spec.out_dim + k, cfg.disc_hidden
+            stream(cfg.seed, "init", 1), spec.out_dim, k, cfg.disc_hidden
         )
         disc_state = adam_init(disc, **_adam_settings(cfg))
         header = ["step", "loss", "loss_disc", "diversity"]
@@ -222,6 +223,8 @@ def train_conditional(
 
     # every class's batch side by side, class-major: one generator forward
     label_x = np.concatenate([one_hot(k, c, batch) for c in range(k)], axis=1)
+    # the labels of the reals and then the fakes: one discriminator forward
+    label_xx = np.concatenate([label_x, label_x], axis=1)
 
     def step_loss(lifted):
         real = np.concatenate([task.sample(data_rng, c, batch) for c in range(k)], 1)
@@ -240,14 +243,16 @@ def train_conditional(
             # the discriminator steps on this forward's values before the
             # generator loss reads its updated weights
             tape_d = Tape()
-            lifted_d = lift_model(tape_d, disc)
-            loss_d, _ = nonsat_gan_losses(
-                discriminator_forward(lifted_d, concat_rows([real, label_x])),
-                discriminator_forward(lifted_d, concat_rows([fake.value, label_x])),
+            loss_d = discriminator_loss(
+                discriminator_forward(
+                    lift_model(tape_d, disc),
+                    np.concatenate([real, fake.value], axis=1),
+                    label_xx,
+                )
             )
             adam_step(disc_state, disc, backward(tape_d, loss_d))
-            logits = discriminator_forward(disc, concat_rows([fake, label_x]))
-            loss, others = softplus(-logits).mean(), [float(loss_d.value)]
+            logits = discriminator_forward(disc, fake, label_x)
+            loss, others = generator_loss(logits), [float(loss_d.value)]
         return loss, others, [_diversity_probe(spec, task, draw)]
 
     result = _fit(spec, cfg, out_dir, header, step_loss)

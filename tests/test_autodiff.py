@@ -5,7 +5,6 @@ from cope.autodiff import (
     Node,
     Tape,
     backward,
-    concat_rows,
     finite_diff_check,
     softplus,
     tanh,
@@ -123,16 +122,6 @@ class TestBackward:
         assert g1.keys() == g2.keys()
         for k in g1:
             np.testing.assert_array_equal(g1[k], g2[k])
-
-    def test_concat_rows_splits_gradient(self):
-        tape = Tape()
-        a = tape.param("a", np.ones((2, 3)))
-        b = tape.param("b", np.ones((1, 3)))
-        out = concat_rows([a, b])
-        seed = np.arange(9.0).reshape(3, 3)
-        grads = backward(tape, out, seed)
-        np.testing.assert_array_equal(grads["a"], seed[:2])
-        np.testing.assert_array_equal(grads["b"], seed[2:])
 
     def test_tape_param_names_unique(self):
         tape = Tape()

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cope.autodiff import Tape, backward, concat_rows, finite_diff_check
+from cope.autodiff import Tape, backward, finite_diff_check
 from cope.losses import (
     DEFAULT_BANDWIDTH_FACTORS,
+    discriminator_loss,
     diversity_regularizer,
+    generator_loss,
     mmd_loss,
     mse_loss,
-    nonsat_gan_losses,
     pairwise_sq_dists,
     rbf_bandwidths,
 )
@@ -210,47 +211,46 @@ class TestLossGradients:
         real = rng.uniform(-0.5, 0.5, (2, 6))
         noise = rng.uniform(-1.0, 1.0, (3, 6))
         gen = init_chain(rng, (3, 3), (2,), rank=3, hidden_dim=3, out_dim=2)
-        disc = init_discriminator(rng, 5, 4)
+        disc = init_discriminator(rng, 2, 3, 4)
         return labels, real, noise, gen, disc
 
     def test_discriminator_loss(self):
         labels, real, noise, gen, disc = self._gan_setup()
-        real_x = np.concatenate([real, labels])
-        fake_x = np.concatenate([product_compose(gen, [noise, labels]), labels])
+        x = np.concatenate([real, product_compose(gen, [noise, labels])], axis=1)
+        c = np.concatenate([labels, labels], axis=1)
 
         def f(p):
-            loss_d, _ = nonsat_gan_losses(
-                discriminator_forward(p, real_x), discriminator_forward(p, fake_x)
-            )
-            return loss_d
+            return discriminator_loss(discriminator_forward(p, x, c))
 
         assert finite_diff_check(f, disc) < 1e-5
 
     def test_generator_loss_through_discriminator(self):
         labels, real, noise, gen, disc = self._gan_setup()
-        real_logits = discriminator_forward(disc, np.concatenate([real, labels]))
 
         def f(model):
             fake = product_compose(model, [noise, labels])
-            fake_logits = discriminator_forward(disc, concat_rows([fake, labels]))
-            return nonsat_gan_losses(real_logits, fake_logits)[1]
+            return generator_loss(discriminator_forward(disc, fake, labels))
 
         assert finite_diff_check(f, gen) < 1e-5
 
 
 class TestGanLosses:
     def test_zero_logits(self):
-        zeros = np.zeros((1, 4))
-        loss_d, loss_g = nonsat_gan_losses(zeros, zeros)
-        assert loss_d == pytest.approx(2.0 * np.log(2.0))
-        assert loss_g == pytest.approx(np.log(2.0))
+        assert discriminator_loss(np.zeros((1, 8))) == pytest.approx(2.0 * np.log(2.0))
+        assert generator_loss(np.zeros((1, 4))) == pytest.approx(np.log(2.0))
 
     def test_confident_discriminator_drives_generator_loss_up(self):
         real = np.full((1, 4), 5.0)
         fake = np.full((1, 4), -5.0)
-        loss_d, loss_g = nonsat_gan_losses(real, fake)
-        assert loss_d < 0.1
-        assert loss_g > 4.0
+        assert discriminator_loss(np.concatenate([real, fake], axis=1)) < 0.1
+        assert generator_loss(fake) > 4.0
+
+    def test_discriminator_loss_is_the_two_means(self):
+        rng = np.random.default_rng(72)
+        real, fake = rng.normal(0.0, 3.0, (2, 1, 5))
+        expected = np.logaddexp(0.0, -real).mean() + np.logaddexp(0.0, fake).mean()
+        logits = np.concatenate([real, fake], axis=1)
+        assert discriminator_loss(logits) == pytest.approx(expected, rel=1e-14)
 
 
 class TestDiversity:

@@ -7,6 +7,7 @@ from cope.models import (
     ChainBlock,
     ModelSpec,
     ccp_forward_cols,
+    discriminator_forward,
     init_block,
     init_chain,
     init_concat_linear,
@@ -351,7 +352,7 @@ class TestParameterWalk:
         assert "b0.in1.v0" in names and "b1.head" in names
 
     def test_plain_dict_walk(self):
-        disc = init_discriminator(np.random.default_rng(45), 3, 4)
+        disc = init_discriminator(np.random.default_rng(45), 2, 1, 4)
         assert list(model_parameters(disc)) == list(disc)
         lifted = lift_model(Tape(), disc)
         assert list(lifted) == list(disc)
@@ -424,3 +425,25 @@ def test_additive_chain_draw_order_is_pinned(share, digest):
     )
     assert [b.kind for b in spec.blocks] == ["additive", "additive"]
     assert _draw_digest(spec, rng) == digest
+
+
+def test_discriminator_draws_and_reads_the_stacked_first_layer():
+    # the first layer is drawn over (sample; label), then split by columns
+    rng = np.random.default_rng(5)
+    disc = init_discriminator(rng, 2, 3, 4)
+    replay = np.random.default_rng(5)
+    w1 = replay.uniform(-1 / np.sqrt(5), 1 / np.sqrt(5), (4, 5))
+    w2 = replay.uniform(-0.5, 0.5, (4, 4))
+    w3 = replay.uniform(-0.5, 0.5, (1, 4))
+    np.testing.assert_array_equal(np.hstack([disc["w1x"], disc["w1c"]]), w1)
+    np.testing.assert_array_equal(disc["w2"], w2)
+    np.testing.assert_array_equal(disc["w3"], w3)
+    assert rng.random() == replay.random()
+    disc = {k: v + 0.1 for k, v in disc.items()}  # nonzero biases
+    x, c = rng.uniform(-1.0, 1.0, (2, 6)), rng.uniform(0.0, 1.0, (3, 6))
+    h = np.tanh((w1 + 0.1) @ np.vstack([x, c]) + disc["b1"][:, None])
+    h = np.tanh(disc["w2"] @ h + disc["b2"][:, None])
+    np.testing.assert_allclose(
+        discriminator_forward(disc, x, c), disc["w3"] @ h + disc["b3"][:, None],
+        rtol=1e-13, atol=1e-15,
+    )

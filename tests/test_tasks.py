@@ -25,6 +25,19 @@ def test_cloud_rejects_overlapping_clusters():
         make_cond_point_cloud(4, 0.05, 0.5)
 
 
+@pytest.mark.parametrize("k, seed", [(2, 0), (7, 1), (40, 2)])
+def test_cloud_overlap_bound_is_the_brute_force_min_gap(k, seed):
+    means = np.random.default_rng(seed).uniform(-1.0, 1.0, (k, 2))
+    gap = min(
+        float(np.sqrt(np.sum((means[i] - means[j]) ** 2)))
+        for i in range(k)
+        for j in range(i + 1, k)
+    )
+    with pytest.raises(ValueError, match="overlap"):
+        CondPointCloud(means=means, std=gap / 4.0 * (1.0 + 1e-9))
+    CondPointCloud(means=means, std=gap / 4.0 * (1.0 - 1e-9))
+
+
 def test_cloud_sampling_shape_and_locality():
     task = make_cond_point_cloud(4, 0.6, 0.05)
     pts = task.sample(stream(0, "data"), 2, 500)

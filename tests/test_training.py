@@ -154,11 +154,13 @@ def test_conditional_gan_artifacts(tmp_path):
     assert np.isfinite(float(rows[-1][1]))
 
 
-def test_conditional_reruns_byte_identical(tmp_path):
+@pytest.mark.parametrize("loss", ["mmd", "gan"])
+def test_conditional_reruns_byte_identical(tmp_path, loss):
     task = make_cond_point_cloud(4, 0.6, 0.05)
     for sub in ("a", "b"):
         cfg = ExperimentConfig(
-            steps=3, batch_size=6, seed=5, noise_dim=3, eval_samples=6, sweep_points=3
+            steps=3, batch_size=6, seed=5, noise_dim=3, eval_samples=6, sweep_points=3,
+            loss=loss,
         )
         train_conditional(_cond_spec(), task, cfg, tmp_path / sub)
     for name in ("metrics.csv", "samples.csv", "sweep.csv"):
@@ -261,3 +263,43 @@ def test_mmd_step_tape_has_no_transpose_and_few_nodes(tmp_path, monkeypatch):
         # 12 parameter leaves, one node per block, then tanh and the MMD loss
         assert ops.count("custom") == 2
         assert len(ops) == 36
+
+
+def test_gan_step_runs_the_discriminator_twice_on_two_small_tapes(tmp_path, monkeypatch):
+    import cope.training
+
+    tapes, calls = [], []
+    backward, discriminate = cope.training.backward, cope.training.discriminator_forward
+
+    def recorded(tape, out, *rest):
+        tapes.append([node.op for node in tape.nodes])
+        return backward(tape, out, *rest)
+
+    def counted(*args):
+        calls.append(1)
+        return discriminate(*args)
+
+    monkeypatch.setattr(cope.training, "backward", recorded)
+    monkeypatch.setattr(cope.training, "discriminator_forward", counted)
+    # the benchmark's generator: a [2, 2] chain of rank 16 over 4 classes
+    spec = init_chain(
+        stream(0, "init"), (4, 4), (2, 2), rank=16, hidden_dim=8, out_dim=2,
+        output_activation="tanh",
+    )
+    cfg = ExperimentConfig(
+        steps=2, batch_size=8, seed=0, loss="gan", noise_dim=4, eval_samples=5,
+        sweep_points=3,
+    )
+    train_conditional(spec, make_cond_point_cloud(4, 0.6, 0.05), cfg, tmp_path)
+    # each step: one forward over reals and fakes stacked, on the
+    # discriminator's tape, then one over the fakes on the generator's
+    assert len(calls) == 4
+    assert len(tapes) == 4
+    for disc_ops, gen_ops in (tapes[0:2], tapes[2:4]):
+        # 7 parameter leaves, the stacked samples and labels, three layers
+        # and the loss's sign, sum and 1/n
+        assert len(disc_ops) == 26
+        # 12 parameter leaves, one node per block, then tanh, the
+        # discriminator on plain weights and the generator loss
+        assert gen_ops.count("custom") == 2
+        assert len(gen_ops) == 31
