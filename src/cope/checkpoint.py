@@ -14,7 +14,7 @@ import numpy as np
 from .models import ChainBlock, ModelSpec
 
 FORMAT_NAME = "cope-model"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def _field(obj, key, types, where):
@@ -74,7 +74,6 @@ def save_model(path, spec: ModelSpec) -> None:
         "version": FORMAT_VERSION,
         "var_dims": list(spec.var_dims),
         "output_activation": spec.output_activation,
-        "centering": spec.centering,
         "blocks": [
             {
                 "kind": blk.kind,
@@ -110,7 +109,6 @@ def load_model(path) -> ModelSpec:
         tuple(_ints(doc, "var_dims", where)),
         blocks,
         _field(doc, "output_activation", (str,), where),
-        _field(doc, "centering", (str,), where),
     )
     try:
         return ModelSpec(*fields)

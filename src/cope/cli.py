@@ -78,7 +78,6 @@ def _build_chain(cfg: ExperimentConfig, var_dims, out_dim):
         reconsume_conditional=cfg.reconsume_conditional,
         share_conditional=cfg.share_conditional,
         output_activation=cfg.output_activation,
-        centering=cfg.centering,
     )
 
 

@@ -65,7 +65,6 @@ class ExperimentConfig:
     share_conditional: bool = False
     reconsume_conditional: bool = True
     output_activation: str = "none"  # none | tanh
-    centering: str = "none"  # none | batch_mean
     # task
     task: str = "cond-point-cloud"  # | poly-regression | downsample-1d; see resolve
     n_classes: int = 4
@@ -104,7 +103,6 @@ _ENUMS = {
     "command": tuple(COMMANDS),
     "variant": ("ccp", "ncp", "additive"),
     "output_activation": ("none", "tanh"),
-    "centering": ("none", "batch_mean"),
     "task": _TASKS,
     "noise_kind": ("uniform", "gaussian"),
     "loss": ("mmd", "gan"),

@@ -6,8 +6,9 @@ name -> array dict of its parameters. Every forward runs on column batches
 oracles and differentiated during training: the ccp and ncp recursions
 compute on plain arrays and, given Vars, push one tape node with a
 hand-written VJP; the rest is written against the operator set shared by
-ndarrays and autodiff Vars. `product_compose` also accepts plain 1-D
-vectors.
+ndarrays and autodiff Vars. No forward mixes the columns of a batch, so a
+column of a batch is the model on that column alone. `product_compose`
+also accepts plain 1-D vectors.
 """
 
 from __future__ import annotations
@@ -320,7 +321,6 @@ class ModelSpec:
     var_dims: tuple[int, ...]
     blocks: list[ChainBlock]
     output_activation: str = "none"
-    centering: str = "none"
 
     def __post_init__(self):
         self.var_dims = tuple(int(d) for d in self.var_dims)
@@ -328,8 +328,6 @@ class ModelSpec:
             raise ValueError("ModelSpec needs at least one block")
         if self.output_activation not in ("none", "tanh"):
             raise ValueError(f"unknown output_activation '{self.output_activation}'")
-        if self.centering not in ("none", "batch_mean"):
-            raise ValueError(f"unknown centering '{self.centering}'")
         if self.blocks[0].consume_prev:
             raise ValueError("block 0 has no predecessor to consume")
         prev_out = None
@@ -351,20 +349,14 @@ class ModelSpec:
 
 
 def product_compose(spec: ModelSpec, inputs):
-    """Run the block chain; optional batch-mean centering between blocks.
-
-    Centering subtracts the per-feature mean across the batch axis, so a
-    batch of one collapses to zeros; it is meant for training batches.
-    """
+    """Run the block chain; each output column depends on its own input
+    column alone."""
     cols, squeeze = _prep_inputs(inputs, spec.var_dims, "product_compose")
     x = None
-    last = len(spec.blocks) - 1
-    for i, blk in enumerate(spec.blocks):
+    for blk in spec.blocks:
         ins = ([x] if blk.consume_prev else []) + [cols[j] for j in blk.consume_vars]
         forward = ccp_forward_cols if blk.kind == "ccp" else ncp_forward_cols
         x = forward(blk, ins)
-        if spec.centering == "batch_mean" and i < last:
-            x = x - x.sum(axis=1, keepdims=True) * (1.0 / x.shape[1])
     if spec.output_activation == "tanh":
         x = tanh(x)
     return x[:, 0] if squeeze else x
@@ -422,7 +414,6 @@ def init_chain(
     reconsume_conditional=True,
     share_conditional=False,
     output_activation="none",
-    centering="none",
 ):
     """Standard chain: block 0 sees every variable, later blocks see the
     previous output plus (optionally) the conditional variables again."""
@@ -447,12 +438,7 @@ def init_chain(
             )
         )
         prev = width
-    return ModelSpec(
-        var_dims=var_dims,
-        blocks=blocks,
-        output_activation=output_activation,
-        centering=centering,
-    )
+    return ModelSpec(var_dims=var_dims, blocks=blocks, output_activation=output_activation)
 
 
 def spade_config(blk: ChainBlock) -> ChainBlock:

@@ -107,6 +107,17 @@ def make_poly_regression(
     return PolyRegression(target=scaled, inputs=inputs, outputs=eval_explicit(scaled, inputs))
 
 
+def best_affine_mse(inputs, outputs) -> float:
+    """The least mean squared error of any affine map from the stacked
+    `inputs` batches to `outputs`: the least-squares fit with a bias. An
+    additive chain with no output tanh is affine, so no such chain fits
+    below it."""
+    outputs = np.asarray(outputs, dtype=np.float64)
+    design = np.vstack([*inputs, np.ones((1, outputs.shape[1]))]).T
+    coef = np.linalg.lstsq(design, outputs.T, rcond=None)[0]
+    return float(np.mean((design @ coef - outputs.T) ** 2))
+
+
 @dataclass
 class Downsample1D:
     """Smooth periodic signals paired with their block-averaged versions."""

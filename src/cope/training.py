@@ -167,29 +167,29 @@ def _dump_samples(spec, task, draw, per_class, path):
 
 
 def _dump_sweep(spec, task, draw, points, path):
+    """One forward per class pair: the pair draws one noise vector and
+    holds it along `points` steps of t."""
     ts = np.linspace(0.0, 1.0, points)
+    k = task.n_classes
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["class_a", "class_b", "t"] + [f"x{i}" for i in range(spec.out_dim)]
         )
-        k = task.n_classes
         for a in range(k):
             for b in range(a + 1, k):
-                z = draw(1)[:, 0]
-                for t in ts:
-                    cond = np.zeros(k)
-                    cond[a], cond[b] = 1.0 - t, t
-                    out = product_compose(spec, [z, cond])
-                    writer.writerow([a, b, _fmt(t)] + [_fmt(v) for v in out])
+                cond = np.zeros((k, points))
+                cond[a], cond[b] = 1.0 - ts, ts
+                out = product_compose(spec, [np.repeat(draw(1), points, 1), cond])
+                for t, col in zip(ts, out.T):
+                    writer.writerow([a, b, _fmt(t)] + [_fmt(v) for v in col])
 
 
 def _diversity_probe(spec, task, draw) -> float:
-    z1, z2 = draw(1)[:, 0], draw(1)[:, 0]
-    cond = one_hot(task.n_classes, 0, 1)[:, 0]
-    g1 = product_compose(spec, [z1, cond])
-    g2 = product_compose(spec, [z2, cond])
-    return diversity_regularizer(g1, g2, z1, z2)
+    # two one-column draws, not draw(2): the stream fills rows first
+    z = np.concatenate([draw(1), draw(1)], 1)
+    g = product_compose(spec, [z, one_hot(task.n_classes, 0, 2)])
+    return diversity_regularizer(g[:, 0], g[:, 1], z[:, 0], z[:, 1])
 
 
 def train_conditional(

@@ -151,14 +151,14 @@ def degree_ray(spec: ModelSpec):
     """`f` and `exact` for `degree_probe` along `spec`'s stacked inputs:
     `product_compose` on a float vector split by `var_dims`, and the same on
     Fraction vectors with every parameter a Fraction. `exact` is None when a
-    tanh output or centering keeps the model from being a polynomial in
-    exact arithmetic."""
+    tanh output keeps the model from being a polynomial in exact
+    arithmetic."""
     splits = np.cumsum(spec.var_dims)[:-1]
 
     def f(x):
         return product_compose(spec, np.split(x, splits))
 
-    if spec.output_activation != "none" or spec.centering != "none":
+    if spec.output_activation != "none":
         return f, None
 
     @functools.cache

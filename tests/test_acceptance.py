@@ -11,7 +11,12 @@ import pytest
 from cope.config import ExperimentConfig
 from cope.models import init_chain
 from cope.rng import stream
-from cope.tasks import make_cond_point_cloud, make_poly_regression, nearest_center
+from cope.tasks import (
+    best_affine_mse,
+    make_cond_point_cloud,
+    make_poly_regression,
+    nearest_center,
+)
 from cope.training import (
     count_parameters,
     matched_additive_rank,
@@ -121,22 +126,26 @@ def cubic_fit_runs(tmp_path_factory):
 def test_multiplicative_fits_cubic_additive_cannot(capsys, cubic_fit_runs):
     r = cubic_fit_runs
     ratio = r.add.final_loss / r.ccp.final_loss
+    # the additive block is affine: no additive model fits below this
+    affine = best_affine_mse(r.task.inputs, r.task.outputs)
     ok = (
         r.ccp.final_loss < 1e-4
         and r.ccp.steps_run <= STEP_CAP
         and ratio >= 100.0
+        and 100.0 * r.ccp.final_loss <= affine
         and r.seconds < 180.0
     )
     _line(
         capsys, "expressivity-gap", ok,
         f"ccp mse {r.ccp.final_loss:.2e} in {r.ccp.steps_run} steps "
         f"({r.ccp_params} params) vs additive {r.add.final_loss:.2e} "
-        f"({r.add_params} params, rank {r.add_rank}): {ratio:.0f}x gap, "
-        f"{r.seconds:.0f}s < 180s",
+        f"({r.add_params} params, rank {r.add_rank}) and affine optimum "
+        f"{affine:.8f}: {ratio:.0f}x gap, {r.seconds:.0f}s < 180s",
     )
     assert r.ccp.final_loss < 1e-4
     assert r.ccp.steps_run <= STEP_CAP
     assert ratio >= 100.0
+    assert 100.0 * r.ccp.final_loss <= affine
     assert r.seconds < 180.0
 
 

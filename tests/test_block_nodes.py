@@ -64,12 +64,9 @@ def ref_block(blk, inputs):
 
 def ref_compose(spec, cols):
     x = None
-    last = len(spec.blocks) - 1
-    for i, blk in enumerate(spec.blocks):
+    for blk in spec.blocks:
         ins = ([x] if blk.consume_prev else []) + [cols[j] for j in blk.consume_vars]
         x = ref_block(blk, ins)
-        if spec.centering == "batch_mean" and i < last:
-            x = x - x.sum(axis=1, keepdims=True) * (1.0 / x.shape[1])
     if spec.output_activation == "tanh":
         x = tanh(x)
     return x
@@ -141,21 +138,19 @@ def test_block_node_is_the_per_op_tape_bitwise(kind, order):
 
 
 @pytest.mark.parametrize("kind", ["ccp", "ncp", "additive"])
-@pytest.mark.parametrize("centering", ["none", "batch_mean"])
-def test_chain_of_block_nodes_is_the_per_op_tape_bitwise(kind, centering):
+def test_chain_of_block_nodes_is_the_per_op_tape_bitwise(kind):
     rng = np.random.default_rng(97)
     spec = init_chain(
         rng, (3, 2), (2, 3, 1), rank=4, hidden_dim=3, out_dim=2, kind=kind,
-        share_conditional=kind != "ncp", output_activation="tanh", centering=centering,
+        share_conditional=kind != "ncp", output_activation="tanh",
     )
     values = dict(model_parameters(spec))
     values.update({"z0": rng.uniform(-1.0, 1.0, (3, 5)), "z1": rng.uniform(-1, 1, (2, 5))})
     seed = rng.standard_normal((2, 5))
-    # block 0's head bias stays a plain array, as when centering cancels it.
-    # The inputs stay plain too, as in training: a Var read by several
-    # blocks gets one sum per block, whose rounding the op-by-op tape's
-    # single running sum need not share.
-    on_tape = set(model_parameters(spec)) - {"b0.head_bias"}
+    # The inputs stay plain, as in training: a Var read by several blocks
+    # gets one sum per block, whose rounding the op-by-op tape's single
+    # running sum need not share.
+    on_tape = set(model_parameters(spec))
 
     def forward(compose):
         return lambda m, v: compose(m, [v["z0"], v["z1"]])

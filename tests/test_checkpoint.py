@@ -17,7 +17,6 @@ def _chain(seed=0, share=False):
     return init_chain(
         stream(seed, "init"), (3, 2), (2, 2), rank=3, hidden_dim=3, out_dim=2,
         kind="ncp", share_conditional=share, output_activation="tanh",
-        centering="batch_mean",
     )
 
 
@@ -110,14 +109,15 @@ def test_rejects_newer_version(tmp_path):
 
 
 def test_rejects_version_1_document(tmp_path):
+    # and version 2, whose models could center between blocks
     spec = _chain()
     path = tmp_path / "m.json"
     save_model(path, spec)
     doc = json.loads(path.read_text())
-    doc["version"] = 1
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="version 1 is not 2"):
-        load_model(path)
+    for version, extra in ((1, {}), (2, {"centering": "batch_mean"})):
+        _write(path, {**doc, "version": version, **extra})
+        with pytest.raises(ValueError, match=f"version {version} is not 3"):
+            load_model(path)
 
 
 def test_rejects_size_mismatch(tmp_path):
@@ -157,7 +157,7 @@ def _write(path, doc):
         (("blocks",), {}, "field 'blocks' is dict, expected list"),
         (("blocks", 0), [], "block 0: expected an object, got list"),
         (("output_activation",), DELETE, "missing field 'output_activation'"),
-        (("centering",), "spam", "unknown centering 'spam'"),
+        (("output_activation",), "spam", "unknown output_activation 'spam'"),
         (("blocks", 0, "kind"), "spam", "block 0: unknown block kind 'spam'"),
         (("blocks", 0, "kind"), 3, "field 'kind' is int, expected str"),
         (("blocks", 0, "consume_prev"), 0, "field 'consume_prev' is int, expected bool"),

@@ -45,11 +45,15 @@ def test_unknown_suite_named_in_error(tmp_path, capsys):
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
-    cfgfile = tmp_path / "c.json"
-    cfgfile.write_text('{"spam": 1}')
-    code = main(["verify", "--config", str(cfgfile)])
-    assert code == 2
-    assert "spam" in capsys.readouterr().err
+    # a removed option is rejected like any other unknown key
+    for key, value in (("spam", 1), ("centering", "none")):
+        cfgfile = tmp_path / f"{key}.json"
+        cfgfile.write_text(json.dumps({key: value}))
+        out = tmp_path / key
+        code = main(["verify", "--config", str(cfgfile), "--out", str(out)])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_invalid_field_exits_2(tmp_path, capsys):
@@ -173,6 +177,13 @@ def test_train_conditional_honours_stop_mse(tmp_path):
     rows = (out / "metrics.csv").read_text().splitlines()
     assert len(rows) == 2  # the header and step 1, whose loss is below 1e9
     assert rows[1].startswith("1,")
+
+
+def test_single_class_run_writes_a_header_only_sweep(tmp_path):
+    # one class has no pair to interpolate between
+    out = tmp_path / "run"
+    assert _tiny_run(tmp_path, "train-conditional", out, n_classes=1) == 0
+    assert (out / "sweep.csv").read_text() == "class_a,class_b,t,x0,x1\n"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -179,30 +179,22 @@ class TestLossGradients:
         err = finite_diff_check(lambda p: mmd(p["x"], y, bw), {"x": x})
         assert err < 1e-5
 
-    def test_mmd_through_centered_tanh_chain(self):
+    def test_mmd_through_tanh_chain(self):
         rng = np.random.default_rng(71)
         chain = init_chain(
             rng, (3, 4), (2, 2), rank=4, hidden_dim=3, out_dim=2,
-            output_activation="tanh", centering="batch_mean",
+            output_activation="tanh",
         )
         noise = rng.uniform(-1.0, 1.0, (3, 6))
         labels = one_hot(4, 1, 6)
         real = rng.uniform(-0.5, 0.5, (2, 1, 6))
         bw = ladders(real)
-        params = model_parameters(chain)
-        # centering cancels block 0's head bias: its gradient is exactly
-        # zero, and central differences there measure only rounding noise
-        fixed = {"b0.head_bias": params.pop("b0.head_bias")}
 
         def f(values):
-            model = with_parameters(chain, {**values, **fixed})
-            fake = product_compose(model, [noise, labels])
+            fake = product_compose(with_parameters(chain, values), [noise, labels])
             return mmd(fake.reshape(real.shape), real, bw)
 
-        assert finite_diff_check(f, params) < 1e-5
-        tape = Tape()
-        loss = f({k: tape.param(k, v) for k, v in {**params, **fixed}.items()})
-        assert np.abs(backward(tape, loss)["b0.head_bias"]).max() < 1e-12
+        assert finite_diff_check(f, model_parameters(chain)) < 1e-5
 
     @staticmethod
     def _gan_setup():

@@ -6,7 +6,6 @@ import pytest
 from cope.models import (
     ChainBlock,
     ModelSpec,
-    ccp_forward_cols,
     discriminator_forward,
     init_block,
     init_chain,
@@ -92,15 +91,24 @@ class TestScalarUnrolls:
 
 class TestBatchSemantics:
     def test_columns_match_vector_loop(self):
+        # the diagnostics batch their one-column forwards on the chains
         rng = np.random.default_rng(30)
-        spec = alone(init_block(rng, "ccp", (3, 2), 4, 2, order=3))
-        z1 = rng.uniform(-1, 1, (3, 5))
-        z2 = rng.uniform(-1, 1, (2, 5))
-        batch = product_compose(spec, [z1, z2])
-        for b in range(5):
-            np.testing.assert_allclose(
-                batch[:, b], product_compose(spec, [z1[:, b], z2[:, b]]), atol=1e-12
+        specs = [alone(init_block(rng, "ccp", (3, 4), 4, 2, order=3))] + [
+            init_chain(
+                rng, (3, 4), (2, 2), rank=3, hidden_dim=3, out_dim=2, kind=kind,
+                output_activation="tanh",
             )
+            for kind in ("ccp", "ncp", "additive")
+        ]
+        z1 = rng.uniform(-1, 1, (3, 7))
+        z2 = rng.uniform(-1, 1, (4, 7))
+        for spec in specs:
+            batch = product_compose(spec, [z1, z2])
+            for b in range(7):
+                np.testing.assert_allclose(
+                    batch[:, b], product_compose(spec, [z1[:, b], z2[:, b]]),
+                    rtol=0, atol=1e-13,
+                )
 
     def test_arity_and_shape_errors(self):
         spec = alone(ones_block("ccp", 1))
@@ -260,26 +268,6 @@ class TestChains:
         z2 = rng.uniform(-1, 1, (2, 64))
         out = product_compose(spec, [z1, z2])
         assert np.all(np.abs(out) <= 1.0)
-
-    def test_batch_mean_centering_between_blocks(self):
-        rng = np.random.default_rng(39)
-        spec = init_chain(
-            rng,
-            (2, 2),
-            block_orders=(2, 2),
-            rank=3,
-            hidden_dim=3,
-            out_dim=1,
-            centering="batch_mean",
-        )
-        z1 = rng.uniform(-1, 1, (2, 8))
-        z2 = rng.uniform(-1, 1, (2, 8))
-        mid = ccp_forward_cols(spec.blocks[0], [z1, z2])
-        mid = mid - mid.mean(axis=1, keepdims=True)
-        expected = ccp_forward_cols(spec.blocks[1], [mid, z2])
-        np.testing.assert_allclose(
-            product_compose(spec, [z1, z2]), expected, atol=1e-12
-        )
 
     def test_chain_validation(self):
         rng = np.random.default_rng(40)

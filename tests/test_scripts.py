@@ -45,11 +45,12 @@ def test_regression_gap_runs_both_chains_at_matched_size(tmp_path):
     rank = matched_additive_rank((2, 2), 3, 1, ccp_params)
     add_params = count_parameters(load_model(tmp_path / "additive" / "checkpoint.json"))
     assert re.fullmatch(
-        rf"ccp      rank  16 +{ccp_params} params  mse {NUMBER}  \(3 steps\)", lines[-3]
+        rf"ccp      rank  16 +{ccp_params} params  mse {NUMBER}  \(3 steps\)", lines[-4]
     )
     assert re.fullmatch(
-        rf"additive rank +{rank} +{add_params} params  mse {NUMBER}  \(3 steps\)", lines[-2]
+        rf"additive rank +{rank} +{add_params} params  mse {NUMBER}  \(3 steps\)", lines[-3]
     )
+    assert lines[-2] == "affine   least-squares optimum  mse 5.758e-01"
     assert re.fullmatch(
         rf"gap: {NUMBER}x   artifacts in {re.escape(str(tmp_path))}", lines[-1]
     )

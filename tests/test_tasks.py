@@ -5,6 +5,7 @@ from cope.oracle import eval_explicit, mode_variables
 from cope.rng import stream
 from cope.tasks import (
     CondPointCloud,
+    best_affine_mse,
     make_cond_point_cloud,
     make_downsample1d,
     make_poly_regression,
@@ -120,6 +121,21 @@ def test_poly_regression_unit_scale():
     two = make_poly_regression(stream(1, "data"), 3, 2, 2, 400)
     np.testing.assert_allclose(two.outputs.mean(axis=1), 0.0, atol=1e-10)
     assert 0.8 < np.std(two.outputs) <= 1.0 + 1e-9
+
+
+def test_best_affine_mse_fits_affine_targets_and_bounds_every_affine_map():
+    rng = np.random.default_rng(3)
+    inputs = [rng.uniform(-1, 1, (2, 50)), rng.uniform(-1, 1, (3, 50))]
+    stacked = np.vstack(inputs)
+    w, b = rng.standard_normal((2, 5)), rng.standard_normal((2, 1))
+    assert best_affine_mse(inputs, w @ stacked + b) < 1e-28
+    curved = w @ stacked + b + stacked[:2] ** 2
+    floor = best_affine_mse(inputs, curved)
+    assert floor > 0.01
+    for _ in range(20):
+        w2 = w + 0.5 * rng.standard_normal(w.shape)
+        b2 = b + 0.5 * rng.standard_normal(b.shape)
+        assert floor <= np.mean((w2 @ stacked + b2 - curved) ** 2)
 
 
 def test_downsample_shapes_and_block_means():

@@ -188,53 +188,38 @@ def test_conditional_divergence_aborts_with_trace(tmp_path):
     assert not (tmp_path / "checkpoint.json").exists()
 
 
-def test_gan_step_runs_the_generator_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("loss", ["mmd", "gan"])
+def test_conditional_step_forward_count(tmp_path, monkeypatch, loss):
     import cope.training
 
-    calls = []
-    forward = cope.training.product_compose
+    calls, sweep_calls = [], []
+    forward, sweep = cope.training.product_compose, cope.training._dump_sweep
 
     def counted(*args):
         calls.append(1)
         return forward(*args)
 
+    def counted_sweep(*args):
+        before = len(calls)
+        sweep(*args)
+        sweep_calls.append(len(calls) - before)
+
     monkeypatch.setattr(cope.training, "product_compose", counted)
+    monkeypatch.setattr(cope.training, "_dump_sweep", counted_sweep)
     task = make_cond_point_cloud(4, 0.6, 0.05)
     counts = []
     for steps in (2, 3):
         calls.clear()
         cfg = ExperimentConfig(
-            steps=steps, batch_size=6, seed=0, loss="gan", noise_dim=3,
+            steps=steps, batch_size=6, seed=0, loss=loss, noise_dim=3,
             eval_samples=5, sweep_points=3, disc_hidden=8,
         )
         train_conditional(_cond_spec(), task, cfg, tmp_path / str(steps))
         counts.append(len(calls))
-    # one step: the generator's tape forward plus the diversity probe's two
-    assert counts[1] - counts[0] == 3
-
-
-def test_mmd_step_runs_the_generator_once(tmp_path, monkeypatch):
-    import cope.training
-
-    calls = []
-    forward = cope.training.product_compose
-
-    def counted(*args):
-        calls.append(1)
-        return forward(*args)
-
-    monkeypatch.setattr(cope.training, "product_compose", counted)
-    task = make_cond_point_cloud(4, 0.6, 0.05)
-    counts = []
-    for steps in (2, 3):
-        calls.clear()
-        cfg = ExperimentConfig(
-            steps=steps, batch_size=6, seed=0, noise_dim=3, eval_samples=5, sweep_points=3
-        )
-        train_conditional(_cond_spec(), task, cfg, tmp_path / str(steps))
-        counts.append(len(calls))
-    # one step: the generator's tape forward plus the diversity probe's two
-    assert counts[1] - counts[0] == 3
+    # one step: the generator's tape forward plus one diversity probe
+    assert counts[1] - counts[0] == 2
+    # one forward per class pair, over all of its sweep points
+    assert sweep_calls == [6, 6]
 
 
 def test_mmd_step_tape_has_no_transpose_and_few_nodes(tmp_path, monkeypatch):
