@@ -8,7 +8,6 @@ accumulation walks node ids in reverse, so the order is deterministic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -153,10 +152,11 @@ def _matrix_product(op, a, b):
 
 
 def tmatmul(a, b):
-    """`a.T @ b`: one tape node when either side is a Var, no transpose node."""
+    """`a.T @ b`: one tape node when either side is a Var, no transpose node.
+    Plain arrays may carry leading copy axes."""
     if isinstance(a, Var) or isinstance(b, Var):
         return _matrix_product("tmatmul", a, b)
-    return a.T @ b
+    return a.swapaxes(-1, -2) @ b
 
 
 def tanh(x):
@@ -273,15 +273,19 @@ def backward(tape: Tape, out: Var, seed=None) -> dict[str, np.ndarray]:
 FD_TOLERANCE = 1e-5
 
 
-def finite_diff_check(f, model, h: float = 1e-5) -> float:
-    """Max relative error between tape gradients and central differences.
+def finite_diff_check(f, model, h: float = 1e-5) -> tuple[float, str]:
+    """Max relative error between tape gradients and central differences,
+    and the coordinate that first reached it, named as `b0.in1.v0[3]`.
 
-    `model` is a ModelSpec, a ChainBlock or a name -> array dict; `f` takes
-    one of the same kind, with arrays or Vars, and returns a scalar of
-    matching kind. The differences perturb, one coordinate at a time in
-    `model_parameters` order, a copy of the model whose arrays are views of
-    one flat vector; the caller's arrays are never touched. The relative
-    error denominator is max(|analytic|, |fd|, 1e-8, floor) per coordinate.
+    `model` is a ModelSpec, a ChainBlock or a name -> array dict, and `f`
+    takes one of the same kind. `f` gets the model lifted onto a tape once
+    and returns a scalar Var. For the differences it gets a batch of
+    perturbed copies: every array has one more, leading, copy axis, and
+    `f` returns one value per copy. Each copy is the flat parameter vector,
+    in `model_parameters` order, with one coordinate moved by +h or -h, and
+    all 2n copies of an n-parameter model go in one call; the caller's
+    arrays are never touched. The relative error denominator is
+    max(|analytic|, |fd|, 1e-8, floor) per coordinate.
 
     `floor` is the difference's own rounding noise, about 2 eps |f| / h,
     over FD_TOLERANCE: a gradient too small for the difference to resolve
@@ -292,8 +296,9 @@ def finite_diff_check(f, model, h: float = 1e-5) -> float:
     A coordinate whose error reaches FD_TOLERANCE is redone with the
     Richardson difference (4 D(h/2) - D(h)) / 3, whose truncation error is
     O(h^4), not O(h^2), and whose rounding noise is three times D(h)'s. Its
-    error is the one reported. A wrong gradient is as far from either
-    difference, so it still shows in full. A NaN gradient reads NaN.
+    error is the one reported. The redo is one call of that coordinate's
+    two copies. A wrong gradient is as far from either difference, so it
+    still shows in full. A NaN gradient reads NaN.
     """
     # imported here: models imports this module
     from .models import flatten_parameters, lift_model, model_parameters, with_parameters
@@ -309,34 +314,42 @@ def finite_diff_check(f, model, h: float = 1e-5) -> float:
 
     work = with_parameters(model, model_parameters(model))
     flat, layout = flatten_parameters(work)
+    shapes = {name: np.shape(a) for name, a in model_parameters(work).items()}
     a_flat = np.concatenate([np.ravel(analytic[name]) for name in layout])
 
     def label(i):
         name, start = next((n, a) for n, (a, b) in layout.items() if i < b)
         return f"{name}[{i - start}]"
 
-    def central(i, step):
-        orig, values = flat[i], []
-        for x in (orig + step, orig - step):
-            flat[i] = x
-            val = np.asarray(f(work), dtype=np.float64)
-            if val.size != 1 or not np.isfinite(val).all():
-                raise ValueError(f"non-finite or non-scalar value while perturbing {label(i)}")
-            values.append(float(val.reshape(())))
-        flat[i] = orig
-        return (values[0] - values[1]) / (2.0 * step)
+    def central(coords, step):
+        """Central differences at `coords`, from one call of f on their
+        +step copies followed by their -step copies."""
+        m = len(coords)
+        rows = np.tile(flat, (2 * m, 1))
+        rows[np.arange(m), coords] = flat[coords] + step
+        rows[np.arange(m, 2 * m), coords] = flat[coords] - step
+        copies = with_parameters(model, {
+            name: rows[:, a:b].reshape((2 * m, *shapes[name]))
+            for name, (a, b) in layout.items()
+        })
+        vals = np.asarray(f(copies), dtype=np.float64)
+        if vals.size != 2 * m:
+            raise ValueError(f"f returned {vals.size} values for {2 * m} copies")
+        vals = vals.reshape(2, m)
+        bad = ~np.isfinite(vals).all(axis=0)
+        if bad.any():
+            raise ValueError(f"non-finite value while perturbing {label(coords[np.argmax(bad)])}")
+        return (vals[0] - vals[1]) / (2.0 * step)
 
     def rel_error(a, fd, floor):
-        return abs(a - fd) / max(abs(a), abs(fd), 1e-8, floor)
+        scale = np.maximum(np.maximum(np.abs(a), np.abs(fd)), max(1e-8, floor))
+        return np.abs(a - fd) / scale
 
-    max_rel = 0.0
-    for i in range(flat.size):
-        fd = central(i, h)
-        rel = rel_error(a_flat[i], fd, floor)
-        if not rel < FD_TOLERANCE:
-            fd = (4.0 * central(i, h / 2.0) - fd) / 3.0
-            rel = rel_error(a_flat[i], fd, 3.0 * floor)
-        # max() would drop a NaN; a NaN error is kept and returned
-        if rel > max_rel or math.isnan(rel):
-            max_rel = rel
-    return max_rel
+    fd = central(np.arange(flat.size), h)
+    rel = rel_error(a_flat, fd, floor)
+    for i in np.flatnonzero(~(rel < FD_TOLERANCE)):
+        fd_half = central([i], h / 2.0)[0]
+        rel[i] = rel_error(a_flat[i], (4.0 * fd_half - fd[i]) / 3.0, 3.0 * floor)
+    # argmax returns the first NaN, if any, else the first largest error
+    worst = int(np.argmax(rel))
+    return float(rel[worst]), label(worst)

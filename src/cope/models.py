@@ -8,7 +8,10 @@ compute on plain arrays and, given Vars, push one tape node with a
 hand-written VJP; the rest is written against the operator set shared by
 ndarrays and autodiff Vars. No forward mixes the columns of a batch, so a
 column of a batch is the model on that column alone. `product_compose`
-also accepts plain 1-D vectors.
+also accepts plain 1-D vectors. On plain arrays the forwards also take
+parameters with one leading copy axis, for a batch of models over the
+same inputs: copy c of the output is the model made of each parameter's
+slice c.
 """
 
 from __future__ import annotations
@@ -169,7 +172,8 @@ def _prep_inputs(inputs, dims, who):
 
 
 def _col(vec):
-    return vec.reshape((vec.shape[0], 1))
+    """`vec` as one column, past any leading copy axis."""
+    return vec.reshape((*vec.shape, 1))
 
 
 def _value(x):
@@ -190,9 +194,9 @@ def _plain(blk, inputs):
 
 def _mix(p, zs, n, share):
     """sum_phi U_n,phi^T z_phi."""
-    acc = p[_factor_name(n, 0, share)].T @ zs[0]
+    acc = p[_factor_name(n, 0, share)].swapaxes(-1, -2) @ zs[0]
     for phi in range(1, len(zs)):
-        acc = acc + p[_factor_name(n, phi, share)].T @ zs[phi]
+        acc = acc + p[_factor_name(n, phi, share)].swapaxes(-1, -2) @ zs[phi]
     return acc
 
 
@@ -272,8 +276,10 @@ def ncp_forward_cols(blk: ChainBlock, inputs):
     ys, lefts, rights = [], [], []
     for n in range(1, order + 1):
         lefts.append(_mix(p, zs, n, share))
-        offset = p[f"off{n}"].T @ _col(p[f"seed{n}"])
-        rights.append(offset if n == 1 else p[f"state{n}"].T @ ys[-1] + offset)
+        offset = p[f"off{n}"].swapaxes(-1, -2) @ _col(p[f"seed{n}"])
+        rights.append(
+            offset if n == 1 else p[f"state{n}"].swapaxes(-1, -2) @ ys[-1] + offset
+        )
         ys.append(combine(lefts[-1], rights[-1]))
     out = p["head"] @ ys[-1] + _col(p["head_bias"])
     if not leaves:
@@ -359,7 +365,7 @@ def product_compose(spec: ModelSpec, inputs):
         x = forward(blk, ins)
     if spec.output_activation == "tanh":
         x = tanh(x)
-    return x[:, 0] if squeeze else x
+    return x[..., 0] if squeeze else x
 
 
 def _uniform(rng, shape, scale):

@@ -289,7 +289,7 @@ def run_gradients(rng, worst, instances: int = 20):
     central differences are exact there up to rounding noise eps*|f|/h,
     and the step 1e-3 only shrinks that noise. A wrong analytic gradient
     still shows in full. The tanh chain has truncation error and keeps
-    the step 1e-5.
+    the step 1e-5. The worst trial names its coordinate.
     """
     batch = 3
     for i in range(instances):
@@ -318,9 +318,10 @@ def run_gradients(rng, worst, instances: int = 20):
 
             def f(m, forward=forward):
                 out = forward(m)
-                return (out * out).sum()
+                return (out * out).sum(axis=(-2, -1))
 
-            worst.add(finite_diff_check(f, model, h=h), case=case, instance=i)
+            dev, coordinate = finite_diff_check(f, model, h=h)
+            worst.add(dev, case=case, instance=i, coordinate=coordinate)
 
 
 def run_suites(names=None, seed: int = 0) -> list[SuiteResult]:

@@ -4,6 +4,7 @@ import pytest
 from cope.autodiff import (
     Node,
     Tape,
+    Var,
     backward,
     finite_diff_check,
     softplus,
@@ -16,7 +17,9 @@ from cope.models import (
     init_chain,
     lift_model,
     model_parameters,
+    ncp_forward_cols,
     product_compose,
+    with_parameters,
 )
 
 
@@ -182,10 +185,10 @@ class TestTransposedMatmul:
         c = rng.standard_normal((2, 4))
 
         def f(p):
-            return (tanh(tmatmul(p["a"], p["b"])) * c).sum()
+            return (tanh(tmatmul(p["a"], p["b"])) * c).sum(axis=(-2, -1))
 
         params = {"a": rng.standard_normal((3, 2)), "b": rng.standard_normal((3, 4))}
-        assert finite_diff_check(f, params) < 1e-7
+        assert finite_diff_check(f, params)[0] < 1e-7
 
     def test_rejects_non_matrices(self):
         tape = Tape()
@@ -267,18 +270,18 @@ class TestFiniteDiffCheck:
         c = rng.standard_normal((1, 4))
 
         def f(p):
-            return (p["w"] * c).sum()
+            return (p["w"] * c).sum(axis=(-2, -1))
 
-        err = finite_diff_check(f, {"w": rng.standard_normal((1, 4))}, h=1e-5)
+        err, _ = finite_diff_check(f, {"w": rng.standard_normal((1, 4))}, h=1e-5)
         assert err < 1e-10
 
     def test_cubic_truncation_error(self):
         # central difference of x^3 at 1 is 3 + h^2
         def f(p):
             x = p["x"]
-            return (x * x * x).sum()
+            return (x * x * x).sum(axis=(-2, -1))
 
-        err = finite_diff_check(f, {"x": np.ones((1, 1))}, h=1e-4)
+        err, _ = finite_diff_check(f, {"x": np.ones((1, 1))}, h=1e-4)
         assert err == pytest.approx(1e-8 / 3.0, rel=1e-2)
 
     def test_truncation_past_the_tolerance_is_redone(self):
@@ -286,9 +289,9 @@ class TestFiniteDiffCheck:
         # 3.3e-5 error; the Richardson difference of a cubic is exact
         def f(p):
             x = p["x"]
-            return (x * x * x).sum()
+            return (x * x * x).sum(axis=(-2, -1))
 
-        err = finite_diff_check(f, {"x": np.ones((1, 1))}, h=1e-2)
+        err, _ = finite_diff_check(f, {"x": np.ones((1, 1))}, h=1e-2)
         assert err < 1e-9
 
     def test_a_wrong_gradient_still_fails_after_the_redo(self):
@@ -297,9 +300,9 @@ class TestFiniteDiffCheck:
         def f(p):
             x = p["x"]
             scale = 1.0 + 1e-4 if hasattr(x, "value") else 1.0
-            return (x * x * x * scale).sum()
+            return (x * x * x * scale).sum(axis=(-2, -1))
 
-        err = finite_diff_check(f, {"x": np.ones((1, 1))}, h=1e-2)
+        err, _ = finite_diff_check(f, {"x": np.ones((1, 1))}, h=1e-2)
         assert err == pytest.approx(1e-4, rel=1e-3)
 
     def test_noise_floor_still_sees_a_wrong_gradient(self):
@@ -308,18 +311,18 @@ class TestFiniteDiffCheck:
         def f(p):
             w = p["w"]
             scale = 1.0 if hasattr(w, "value") else 1.0 + 1e-4
-            return (w * w * scale).sum() + 100.0
+            return (w * w * scale).sum(axis=(-2, -1)) + 100.0
 
-        err = finite_diff_check(f, {"w": np.ones((1, 3))}, h=1e-5)
+        err, _ = finite_diff_check(f, {"w": np.ones((1, 3))}, h=1e-5)
         assert err == pytest.approx(1e-4, rel=1e-3)
 
     def test_gradient_at_the_rounding_noise_is_held_to_that_noise(self):
         # d/dw of 1 + 1e-9 w is far below what a central difference of a
         # value near 1 resolves at h = 1e-5 (eps / h, about 2e-11)
         def f(p):
-            return (p["w"] * 1e-9).sum() + 1.0
+            return (p["w"] * 1e-9).sum(axis=(-2, -1)) + 1.0
 
-        err = finite_diff_check(f, {"w": np.ones((1, 4))}, h=1e-5)
+        err, _ = finite_diff_check(f, {"w": np.ones((1, 4))}, h=1e-5)
         assert err < 1e-5
 
     def test_a_nan_gradient_reads_nan(self):
@@ -329,7 +332,7 @@ class TestFiniteDiffCheck:
         def f(p):
             x = p["x"]
             if not hasattr(x, "value"):
-                return (x * 2.0).sum()
+                return (x * 2.0).sum(axis=(-2, -1))
 
             def vjp(g):
                 grad = 2.0 * g
@@ -338,19 +341,75 @@ class TestFiniteDiffCheck:
 
             return x.tape.custom(2.0 * x.value, [x], vjp).sum()
 
-        err = finite_diff_check(f, {"x": np.ones((1, 3))}, h=1e-5)
+        err, coordinate = finite_diff_check(f, {"x": np.ones((1, 3))}, h=1e-5)
         assert np.isnan(err)
+        assert coordinate == "x[0]"
 
     def test_nonfinite_perturbation_names_coordinate(self):
         def f(p):
             x = p["x"]
             if not hasattr(x, "value"):
                 bad = np.where(np.asarray(x) > 1.5, np.inf, 0.0)
-                return np.sum(bad)
+                return np.sum(bad, axis=(-2, -1))
             return x.sum()
 
         with pytest.raises(ValueError, match=r"perturbing x\[1\]"):
             finite_diff_check(f, {"x": np.array([[1.0, 1.49999]])}, h=1e-4)
+
+    def test_batched_differences_are_the_per_coordinate_loop_bitwise(self):
+        # the `gradients` suite's ncp case: an order-3 block over (3, 2)
+        # inputs, rank 3, two outputs, at half scale, a batch of 3, h = 1e-3
+        rng = np.random.default_rng(62)
+        blk = init_block(rng, "ncp", (3, 2), 3, 2, order=3)
+        for arr in blk.params.values():
+            arr *= 0.5
+        z = [rng.uniform(-0.5, 0.5, (3, 3)), rng.uniform(-0.5, 0.5, (2, 3))]
+        h = 1e-3
+        plain_calls = []
+
+        def f(m):
+            out = ncp_forward_cols(m, z)
+            value = (out * out).sum(axis=(-2, -1))
+            if not isinstance(value, Var):
+                plain_calls.append(value)
+            return value
+
+        finite_diff_check(f, blk, h=h)
+        # the first plain call holds every +h copy, then every -h copy
+        values = plain_calls[0]
+        n = values.size // 2
+        batched = (values[:n] - values[n:]) / (2.0 * h)
+
+        params = model_parameters(blk)
+        flat = np.concatenate([a.ravel() for a in params.values()])
+        stops = np.cumsum([a.size for a in params.values()])
+        assert n == flat.size
+        loop = np.empty(n)
+        for i in range(n):
+            ends = []
+            for x in (flat[i] + h, flat[i] - h):
+                moved = flat.copy()
+                moved[i] = x
+                pieces = np.split(moved, stops[:-1])
+                arrays = {
+                    name: piece.reshape(a.shape)
+                    for (name, a), piece in zip(params.items(), pieces)
+                }
+                out = ncp_forward_cols(with_parameters(blk, arrays), z)
+                ends.append(float((out * out).sum()))
+            loop[i] = (ends[0] - ends[1]) / (2.0 * h)
+        assert batched.tobytes() == loop.tobytes()
+
+    def test_names_the_worst_coordinate(self):
+        # only w[2] has a wrong gradient, 1e-3 off
+        def f(p):
+            w = p["w"]
+            scale = np.array([1.0, 1.0, 1.0 + 1e-3]) if hasattr(w, "value") else 1.0
+            return (w * w * scale).sum(axis=(-2, -1))
+
+        err, coordinate = finite_diff_check(f, {"w": np.ones((1, 3))}, h=1e-5)
+        assert err == pytest.approx(1e-3, rel=1e-2)
+        assert coordinate == "w[2]"
 
     @pytest.mark.parametrize("whole", [True, False], ids=["model", "block"])
     def test_a_model_is_checked_on_a_copy(self, whole):
@@ -368,9 +427,9 @@ class TestFiniteDiffCheck:
         def f(m):
             seen.append(m)
             out = forward(m, z)
-            return (out * out).sum()
+            return (out * out).sum(axis=(-2, -1))
 
-        assert finite_diff_check(f, model, h=1e-4) < 1e-5
+        assert finite_diff_check(f, model, h=1e-4)[0] < 1e-5
         assert all(type(m) is type(model) and m is not model for m in seen)
         after = model_parameters(model)
         assert after.keys() == arrays.keys()

@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from cope.models import (
     ChainBlock,
     ModelSpec,
+    ccp_forward_cols,
     discriminator_forward,
     init_block,
     init_chain,
@@ -13,13 +15,14 @@ from cope.models import (
     init_discriminator,
     lift_model,
     model_parameters,
+    ncp_forward_cols,
     product_compose,
     spade_config,
     spade_forward_cols,
     with_parameters,
 )
 from cope.autodiff import Tape, Var
-from cope.oracle import degree_probe
+from cope.oracle import as_fractions, degree_probe
 
 
 def ones_block(kind, order, n_vars=2, d=1, k=1, o=1, width=1):
@@ -118,6 +121,74 @@ class TestBatchSemantics:
             product_compose(spec, [[1.0], [1.0, 2.0]])
         with pytest.raises(ValueError, match="batch size"):
             product_compose(spec, [np.ones((1, 2)), np.ones((1, 3))])
+
+
+def stacked(models):
+    """The first of `models` with each parameter stacked over all of them,
+    copy axis first."""
+    arrays = [model_parameters(m) for m in models]
+    return with_parameters(
+        models[0], {name: np.stack([a[name] for a in arrays]) for name in arrays[0]}
+    )
+
+
+class TestCopyAxis:
+    """The plain-array forwards take parameters with one leading copy axis,
+    as the finite-difference checker hands them; copy c is the model made
+    of each parameter's slice c."""
+
+    COPIES = 5
+
+    @pytest.mark.parametrize("kind", ["ccp", "ncp", "additive", "spade"])
+    def test_block_copies_match_unbatched_calls(self, kind):
+        rng = np.random.default_rng(45)
+        draw = "ncp" if kind == "spade" else kind
+        blocks = [init_block(rng, draw, (3, 2), 3, 2, order=3) for _ in range(self.COPIES)]
+        z = [rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (2, 4))]
+        forward = {
+            "ccp": ccp_forward_cols,
+            "ncp": ncp_forward_cols,
+            "additive": ncp_forward_cols,
+            "spade": lambda blk, z: spade_forward_cols(blk, *z),
+        }[kind]
+        out = forward(stacked(blocks), z)
+        assert out.shape == (self.COPIES, 2, 4)
+        for c, blk in enumerate(blocks):
+            np.testing.assert_allclose(out[c], forward(blk, z), rtol=1e-13, atol=0.0)
+
+    def test_chain_copies_match_unbatched_calls(self):
+        rng = np.random.default_rng(46)
+        chains = [
+            init_chain(rng, (3, 2), (2, 2), rank=3, hidden_dim=3, out_dim=2,
+                       output_activation="tanh")
+            for _ in range(self.COPIES)
+        ]
+        z = [rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (2, 4))]
+        out = product_compose(stacked(chains), z)
+        # plain vectors: one output vector per copy
+        vec = product_compose(stacked(chains), [z[0][:, 0], z[1][:, 0]])
+        assert (out.shape, vec.shape) == ((self.COPIES, 2, 4), (self.COPIES, 2))
+        for c, chain in enumerate(chains):
+            np.testing.assert_allclose(
+                out[c], product_compose(chain, z), rtol=1e-13, atol=0.0
+            )
+            np.testing.assert_allclose(
+                vec[c], product_compose(chain, [z[0][:, 0], z[1][:, 0]]),
+                rtol=1e-13, atol=0.0,
+            )
+
+    @pytest.mark.parametrize("kind", ["ccp", "ncp"])
+    def test_fraction_block_stays_exact(self, kind):
+        # y1 = 1/3 + 1/2 = 5/6, then y2 = y1 + y1 y1 for ccp and
+        # y2 = (1/3 + 1/2)(y1 + 1) for ncp, both 55/36
+        blk = ones_block(kind, 2)
+        exact = with_parameters(
+            blk, {name: as_fractions(a) for name, a in blk.params.items()}
+        )
+        z = [np.array([Fraction(1, 3)]), np.array([Fraction(1, 2)])]
+        out = run(exact, z)
+        assert out.dtype == object
+        assert out.tolist() == [Fraction(55, 36)]
 
 
 class TestReductions:

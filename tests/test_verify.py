@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,14 +42,16 @@ def test_gradients_pass(seed):
 
 def test_a_nan_deviation_fails_and_names_the_first_nan_trial(monkeypatch):
     # calls 2 and 7 are pi-net in instance 0 and ncp in instance 1; a larger
-    # finite deviation after the first NaN does not displace it
-    values = iter([1e-6, 0.0, math.nan, 0.0, 0.0, 1.0, 0.0, math.nan] + [0.0] * 4)
+    # finite deviation after the first NaN does not displace it. Call k
+    # names coordinate x[k] as its worst.
+    devs = [1e-6, 0.0, math.nan, 0.0, 0.0, 1.0, 0.0, math.nan] + [0.0] * 4
+    values = iter((dev, f"x[{k}]") for k, dev in enumerate(devs))
     monkeypatch.setattr(verify, "finite_diff_check", lambda *a, **k: next(values))
     result = run_gradients(0, instances=2)
     assert result.trials == 12
     assert not result.passed
     assert math.isnan(result.max_deviation)
-    assert result.details["worst"] == {"case": "pi-net", "instance": 0}
+    assert result.details["worst"] == {"case": "pi-net", "instance": 0, "coordinate": "x[2]"}
 
 
 def test_a_nan_forward_fails_claim1(monkeypatch):
@@ -63,6 +66,12 @@ def test_reductions_names_its_worst_reduction():
     worst = run_reductions(seed=3).report_row()["details"]["worst"]
     assert worst.keys() == {"instance", "draw", "reduction"}
     assert worst["reduction"] in ("pi-net", "two-variable", "spade")
+
+
+def test_gradients_names_its_worst_coordinate():
+    worst = run_gradients(seed=0, instances=2).details["worst"]
+    assert worst.keys() == {"case", "instance", "coordinate"}
+    assert re.fullmatch(r"(b\d+\.)?[a-z_]+\d*(\.v\d)?\[\d+\]", worst["coordinate"])
 
 
 def test_suite_order_changes_no_suite_row():
