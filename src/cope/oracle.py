@@ -164,9 +164,10 @@ def build_coupled_tensors(blk: ChainBlock) -> OracleParams:
 # The float answer D is redone exactly when level D, the last that did not
 # vanish, is under 1024 of its rounding floors, or level D+1, the first that
 # did, is over 1/32 of its floor. On the degree-law rays of seeds 0-999,
-# noise reached 0.58 floors while real leading levels fell to 0.0011 floors,
-# so no cut on one level parts them. This window caught all 48 misread rays,
-# each with 3x to spare, and sent 1,251 of 200,000 rays down the exact path.
+# each evaluated as one batch of nodes, noise reached 0.58 floors while real
+# leading levels fell to 0.00083 floors, so no cut on one level parts them.
+# This window caught all 48 misread rays and sent 1,242 of 200,000 rays
+# down the exact path.
 _EXACT_WINDOW = (1.0 / 32.0, 1024.0)
 
 
@@ -192,10 +193,14 @@ def degree_probe(f, base, direction, max_order: int, exact=None) -> int:
     Returns max_order when no level vanishes (degree at least max_order)
     and 0 for the zero function.
 
+    `f` is called once, on every node at once: it gets a `(dim, nodes)`
+    matrix whose column t is base + t * direction, and returns an
+    `(out, nodes)` matrix whose column t is the output at node t.
+
     `exact`, if given, is f over Fraction object arrays. When either level
     that decides D sits too near its floor to tell signal from rounding (see
     `_EXACT_WINDOW`), the ray is redone in rational arithmetic, where a
-    vanished level is exactly zero.
+    vanished level is exactly zero: one call of `exact` on the same nodes.
     """
     base = np.asarray(base, dtype=np.float64)
     direction = np.asarray(direction, dtype=np.float64)
@@ -203,11 +208,11 @@ def degree_probe(f, base, direction, max_order: int, exact=None) -> int:
         raise ValueError(
             f"base shape {base.shape} does not match direction {direction.shape}"
         )
+    if base.ndim != 1:
+        raise ValueError(f"base must be a vector, got shape {base.shape}")
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
-    values = np.array(
-        [np.sum(f(base + t * direction)) for t in range(max_order + 2)]
-    )
+    values = _node_values(f, base, direction, max_order + 2)
     if not np.isfinite(values).all():
         raise ValueError("degree probe hit a non-finite value")
     magnitudes = [float(np.max(np.abs(level))) for level in _levels(values)]
@@ -231,10 +236,24 @@ def degree_probe(f, base, direction, max_order: int, exact=None) -> int:
     )
     if exact is None or not near_floor:
         return degree
-    base, direction = as_fractions(base), as_fractions(direction)
-    values = [np.sum(exact(base + t * direction)) for t in range(max_order + 2)]
+    values = _node_values(
+        exact, as_fractions(base), as_fractions(direction), max_order + 2
+    )
     nonzero = [k for k, level in enumerate(_levels(values)) if any(level != 0)]
     return min(max(nonzero, default=0), max_order)
+
+
+def _node_values(f, base, direction, n_nodes: int) -> np.ndarray:
+    """sum(f(base + t * direction)) at t = 0..n_nodes-1, from one call of
+    `f` on the nodes as columns."""
+    t = np.arange(n_nodes)
+    out = f(base[:, None] + t * direction[:, None])
+    if np.ndim(out) != 2 or np.shape(out)[1] != n_nodes:
+        raise ValueError(
+            f"f must return one column per node, (out, {n_nodes}); "
+            f"got shape {np.shape(out)}"
+        )
+    return np.sum(out, axis=0)
 
 
 def _levels(values):

@@ -149,10 +149,10 @@ def run_lemma1(rng, worst, trials: int = 100):
 
 def degree_ray(spec: ModelSpec):
     """`f` and `exact` for `degree_probe` along `spec`'s stacked inputs:
-    `product_compose` on a float vector split by `var_dims`, and the same on
-    Fraction vectors with every parameter a Fraction. `exact` is None when a
-    tanh output keeps the model from being a polynomial in exact
-    arithmetic."""
+    `product_compose` on a float column batch split along axis 0 by
+    `var_dims`, and the same on Fraction batches with every parameter a
+    Fraction. `exact` is None when a tanh output keeps the model from being
+    a polynomial in exact arithmetic."""
     splits = np.cumsum(spec.var_dims)[:-1]
 
     def f(x):
@@ -232,20 +232,20 @@ def run_reductions(rng, worst, instances: int = 50):
         # gated recursion pinned to the conditioning-by-gating layout
         g = init_block(rng, "ncp", (d1, d2), k, o, order)
         cfg = _alone(spade_config(g))
+        # column j holds draw j's inputs, as drawn one draw at a time
+        x = rng.uniform(-1, 1, (3, d1 + d2))
+        z1, z2 = x[:, :d1].T, x[:, d1:].T
+        diffs = [
+            product_compose(two, [z1, z2 * 0]) - product_compose(one, [z1]),
+            product_compose(three, [z1, z2, np.zeros_like(z2)])
+            - product_compose(first_two, [z1, z2]),
+            product_compose(cfg, [z1, z2]) - spade_forward_cols(g, z1, z2),
+        ]
+        devs = np.max(np.abs(np.stack(diffs)), axis=1)  # (reduction, draw)
         for j in range(3):
-            z1, z2 = rng.uniform(-1, 1, d1), rng.uniform(-1, 1, d2)
-            z3 = np.zeros(d2)
-            spade = spade_forward_cols(g, z1[:, None], z2[:, None])[:, 0]
-            diffs = [
-                product_compose(two, [z1, z2 * 0]) - product_compose(one, [z1]),
-                product_compose(three, [z1, z2, z3])
-                - product_compose(first_two, [z1, z2]),
-                product_compose(cfg, [z1, z2]) - spade,
-            ]
-            devs = [np.max(np.abs(diff)) for diff in diffs]
-            r = int(np.argmax(devs))  # the first NaN, if any
+            r = int(np.argmax(devs[:, j]))  # the first NaN, if any
             reduction = ("pi-net", "two-variable", "spade")[r]
-            worst.add(devs[r], instance=i, draw=j, reduction=reduction)
+            worst.add(devs[r, j], instance=i, draw=j, reduction=reduction)
 
 
 @_suite("affineness", 4, 1e-9)
@@ -262,12 +262,11 @@ def run_affineness(rng, worst, rays: int = 50):
         ccp = _alone(init_block(rng, "ccp", (d1, d2), k, o, order))
         base = rng.uniform(-1, 1, d1 + d2)
         direction = rng.uniform(-1, 1, d1 + d2)
+        # the ray's points base + t * direction, t = 0, 1, 2, as columns
+        x = base[:, None] + np.arange(3.0) * direction[:, None]
 
         def second_diff(spec):
-            vals = [
-                float(np.sum(product_compose(spec, [x[:d1], x[d1:]])))
-                for x in (base, base + direction, base + 2.0 * direction)
-            ]
+            vals = product_compose(spec, [x[:d1], x[d1:]]).sum(axis=0)
             return abs(vals[0] - 2.0 * vals[1] + vals[2])
 
         baselines = [second_diff(add), second_diff(lin)]

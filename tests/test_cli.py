@@ -110,6 +110,14 @@ def test_overlapping_clusters_exit_2_and_write_nothing(tmp_path, capsys, values)
     assert list(out.iterdir()) == []
 
 
+def test_a_class_count_too_large_to_allocate_exits_2_and_writes_nothing(tmp_path, capsys):
+    # the circle's neighbour gap rejects it before n_classes means exist
+    out = tmp_path / "run"
+    assert _tiny_run(tmp_path, "train-conditional", out, n_classes=10**13) == 2
+    assert "'n_classes'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_regression_run_and_flags_override_file(tmp_path, capsys):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({

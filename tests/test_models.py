@@ -239,11 +239,18 @@ class TestReductions:
         rng = np.random.default_rng(34)
         p = init_block(rng, "ncp", (3, 3), 4, 2, order=3)
         base_n, base_c = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+
+        def held(base, z):
+            """`base` as one column beside each column of `z`."""
+            return np.broadcast_to(base[:, None], z.shape)
+
         deg_noise = degree_probe(
-            lambda z: spade(p, z, base_c), base_n, rng.uniform(-1, 1, 3), 5
+            lambda z: spade_forward_cols(p, z, held(base_c, z)),
+            base_n, rng.uniform(-1, 1, 3), 5,
         )
         deg_cond = degree_probe(
-            lambda z: spade(p, base_n, z), base_c, rng.uniform(-1, 1, 3), 5
+            lambda z: spade_forward_cols(p, held(base_n, z), z),
+            base_c, rng.uniform(-1, 1, 3), 5,
         )
         assert deg_noise == 1
         assert deg_cond == p.order - 1

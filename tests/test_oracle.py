@@ -266,7 +266,47 @@ class TestDegreeProbe:
             assert degree_probe(f, np.zeros(1), np.ones(1), max_order=6) == degree
 
     def test_zero_function(self):
-        assert degree_probe(lambda x: np.zeros(3), np.zeros(2), np.ones(2), 4) == 0
+        def f(x):
+            return np.zeros((3, x.shape[1]))
+
+        assert degree_probe(f, np.zeros(2), np.ones(2), 4) == 0
+
+    def test_f_gets_every_node_as_one_column_batch(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x[:1] ** 2
+
+        assert degree_probe(f, np.array([1.0, 5.0]), np.array([0.5, 0.0]), 3) == 2
+        assert len(calls) == 1
+        t = np.arange(5.0)
+        np.testing.assert_array_equal(calls[0], [1.0 + 0.5 * t, np.full(5, 5.0)])
+
+    def test_exact_is_called_once_and_only_near_the_floor(self):
+        # the same quintic as below: its 5th difference sits under the floor
+        c = 2.0**-44
+        calls = {"f": 0, "exact": 0}
+
+        def f(x):
+            calls["f"] += 1
+            return x[:1] + c * x[:1] ** 5
+
+        def exact(x):
+            calls["exact"] += 1
+            return x[:1] + Fraction(c) * x[:1] ** 5
+
+        assert degree_probe(f, np.zeros(1), np.ones(1), 7, exact=exact) == 5
+        assert calls == {"f": 1, "exact": 1}
+        # at c = 1 the quintic's 5th difference is far above its floor
+        calls.update(f=0, exact=0)
+        c = 1.0
+        assert degree_probe(f, np.zeros(1), np.ones(1), 7, exact=exact) == 5
+        assert calls == {"f": 1, "exact": 0}
+
+    def test_f_must_return_one_column_per_node(self):
+        with pytest.raises(ValueError, match=r"one column per node, \(out, 4\)"):
+            degree_probe(lambda x: np.zeros(3), np.zeros(2), np.ones(2), 2)
 
     def test_exact_path_reads_a_level_below_the_rounding_floor(self):
         # the quintic's 5th difference, 120 * 2^-44, sits under its floor
@@ -308,3 +348,5 @@ class TestDegreeProbe:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="does not match direction"):
             degree_probe(lambda x: x, np.zeros(2), np.ones(3), 2)
+        with pytest.raises(ValueError, match="must be a vector"):
+            degree_probe(lambda x: x, np.zeros((2, 1)), np.ones((2, 1)), 2)

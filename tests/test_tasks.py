@@ -26,6 +26,16 @@ def test_cloud_rejects_overlapping_clusters():
         make_cond_point_cloud(4, 0.05, 0.5)
 
 
+# 2 r sin(pi / 4) at r = 3.7 rounds one ulp below the rounded means' gap
+@pytest.mark.parametrize("k, radius", [(2, 0.6), (4, 3.7), (7, 0.6), (1000, 1000.0)])
+def test_circle_borderline_is_left_to_the_means(k, radius):
+    means = make_cond_point_cloud(k, radius, 1e-12).means
+    gap = min(np.linalg.norm(means[i + 1 :] - means[i], axis=1).min() for i in range(k - 1))
+    make_cond_point_cloud(k, radius, gap / 4.0)
+    with pytest.raises(ValueError, match="overlap"):
+        make_cond_point_cloud(k, radius, np.nextafter(gap / 4.0, np.inf))
+
+
 @pytest.mark.parametrize("k, seed", [(2, 0), (7, 1), (40, 2)])
 def test_cloud_overlap_bound_is_the_brute_force_min_gap(k, seed):
     means = np.random.default_rng(seed).uniform(-1.0, 1.0, (k, 2))

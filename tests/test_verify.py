@@ -11,9 +11,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cope import verify
+from cope.oracle import degree_probe
 from cope.verify import (
     SUITES, run_claim1, run_degree_law, run_gradients, run_reductions, run_suites,
 )
@@ -25,6 +27,47 @@ from cope.verify import (
 def test_degree_law_passes(seed):
     result = run_degree_law(seed)
     assert result.passed, result.details
+
+
+# The probe evaluates a ray's nodes as one column batch, whose forward can
+# round unlike one node alone; on these seeds every degree-law ray reads the
+# degree that one forward per node reads, the float f runs once a ray and
+# the exact f at most once. Seeds 0, 55 and 302 send rays down the exact
+# path too.
+@pytest.mark.parametrize("seed", [0, 55, 302])
+def test_batched_probe_reads_the_per_node_degree(monkeypatch, seed):
+    def per_node(f):
+        """`f` run on each node alone, as a contiguous one-column batch."""
+        def g(x):
+            cols = [f(np.ascontiguousarray(x[:, t : t + 1])) for t in range(x.shape[1])]
+            return np.concatenate(cols, axis=1)
+        return g
+
+    def counted(f, calls):
+        def g(x):
+            calls.append(x.shape)
+            return f(x)
+        return g
+
+    rays = []
+
+    def probe(f, base, direction, max_order, exact):
+        calls, exact_calls = [], []
+        got = degree_probe(
+            counted(f, calls), base, direction, max_order,
+            exact and counted(exact, exact_calls),
+        )
+        ref = degree_probe(
+            per_node(f), base, direction, max_order, exact and per_node(exact)
+        )
+        rays.append((got, ref, len(calls), len(exact_calls)))
+        return got
+
+    monkeypatch.setattr(verify, "degree_probe", probe)
+    assert run_degree_law(seed).passed
+    assert len(rays) == 200
+    assert all(got == ref for got, ref, _, _ in rays)
+    assert all(n == 1 and n_exact <= 1 for _, _, n, n_exact in rays)
 
 
 # The tanh chain's smallest gradients (about 1e-8) sat at the central
