@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from cope.cli import runs_root
+from cope.cli import exit_status, runs_root
 from cope.verify import run_suites
 
 FIELDS = ("seed", "suite", "verdict", "trials", "max_deviation", "tolerance", "worst")
@@ -63,4 +63,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_status(main))

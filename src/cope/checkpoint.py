@@ -1,6 +1,7 @@
-"""JSON model checkpoints: each block's structure plus its named arrays with
-shape headers. Floats are written with Python's shortest round-trip repr (at
-most 17 significant digits), so a save/load cycle is bit exact. A malformed
+"""JSON model checkpoints: each block's kind plus its named arrays with
+shape headers; the names carry the block's order, inputs and sharing.
+Floats are written with Python's shortest round-trip repr (at most 17
+significant digits), so a save/load cycle is bit exact. A malformed
 document raises ValueError naming the field."""
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 from .models import ChainBlock, ModelSpec
 
 FORMAT_NAME = "cope-model"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def _field(obj, key, types, where):
@@ -62,9 +63,6 @@ def _read_block(obj, where: str) -> ChainBlock:
             name: _decode_array(arr, f"{where} parameter '{name}'")
             for name, arr in params.items()
         },
-        consume_prev=_field(obj, "consume_prev", (bool,), where),
-        consume_vars=tuple(_ints(obj, "consume_vars", where)),
-        share_conditional=_field(obj, "share_conditional", (bool,), where),
     )
 
 
@@ -77,9 +75,6 @@ def save_model(path, spec: ModelSpec) -> None:
         "blocks": [
             {
                 "kind": blk.kind,
-                "consume_prev": blk.consume_prev,
-                "consume_vars": list(blk.consume_vars),
-                "share_conditional": blk.share_conditional,
                 "params": {n: _encode_array(a) for n, a in blk.params.items()},
             }
             for blk in spec.blocks

@@ -245,13 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
 def exit_status(run) -> int:
     """`run()`'s exit code, or the code of its failure: 2 after
     `config error: ...` when the config is rejected, 1 after the message
-    when the run stops on an error or diverges."""
+    when the run stops on an error, runs out of memory or diverges."""
     try:
         return run()
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except TrainingDiverged as e:

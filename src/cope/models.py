@@ -1,17 +1,17 @@
 """Coupled low-rank polynomial generators and their ablation baselines.
 
-A block is a `ChainBlock`: its kind, wiring and sharing, plus an ordered
-name -> array dict of its parameters. Every forward runs on column batches
-(features x batch), and the same code is evaluated by the brute-force
-oracles and differentiated during training: the ccp and ncp recursions
-compute on plain arrays and, given Vars, push one tape node with a
-hand-written VJP; the rest is written against the operator set shared by
-ndarrays and autodiff Vars. No forward mixes the columns of a batch, so a
-column of a batch is the model on that column alone. `product_compose`
-also accepts plain 1-D vectors. On plain arrays the forwards also take
-parameters with one leading copy axis, for a batch of models over the
-same inputs: copy c of the output is the model made of each parameter's
-slice c.
+A block is a `ChainBlock`: its kind and an ordered name -> array dict of
+its parameters, whose names also say its order, inputs and sharing. Every
+forward runs on column batches (features x batch), and the same code is
+evaluated by the brute-force oracles and differentiated during training:
+the ccp and ncp recursions compute on plain arrays and, given Vars, push
+one tape node with a hand-written VJP; the rest is written against the
+operator set shared by ndarrays and autodiff Vars. No forward mixes the
+columns of a batch, so a column of a batch is the model on that column
+alone. `product_compose` also accepts plain 1-D vectors. On plain arrays
+the forwards also take parameters with one leading copy axis, for a batch
+of models over the same inputs: copy c of the output is the model made of
+each parameter's slice c.
 """
 
 from __future__ import annotations
@@ -37,22 +37,16 @@ def _shape(x):
 class ChainBlock:
     """One polynomial block of a chain.
 
-    Inputs are the previous block's output (if `consume_prev`) followed by
-    the model variables listed in `consume_vars`. `params` maps the names
-    of `_layout` to arrays: `in{n}.v{phi}` is the order-n factor of input
-    phi, then (ncp and additive only) `state{n}`, `off{n}` and `seed{n}`,
-    then `head` and `head_bias`. A block with `share_conditional` has one
-    conditional factor, `in1.v1`, read by every order.
+    `params` maps the names of `_layout` to arrays: `in{n}.v{phi}` is the
+    order-n factor of input phi, then (ncp and additive only) `state{n}`,
+    `off{n}` and `seed{n}`, then `head` and `head_bias`. The names say the
+    rest: the order is the count of `in{n}.v0`, the inputs the count of
+    `in1.v{phi}`, and a block of order >= 2 over two or more inputs with no
+    `in2.v1` shares one conditional factor, `in1.v1`, across its orders.
     """
 
     kind: str
     params: dict
-    consume_prev: bool
-    consume_vars: tuple[int, ...]
-    share_conditional: bool = False
-
-    def __post_init__(self):
-        self.consume_vars = tuple(int(j) for j in self.consume_vars)
 
     @property
     def order(self):
@@ -60,7 +54,7 @@ class ChainBlock:
 
     @property
     def n_variables(self):
-        return int(self.consume_prev) + len(self.consume_vars)
+        return sum(1 for name in self.params if name.startswith("in1."))
 
     @property
     def rank(self):
@@ -78,13 +72,14 @@ class ChainBlock:
 
     def factor(self, n, phi):
         """Order-n factor of input phi (both counted as in the names)."""
-        return self.params[_factor_name(n, phi, self.share_conditional)]
+        return self.params[_factor_name(self.params, n, phi)]
 
 
-def _factor_name(n, phi, share):
-    """Name of the order-n factor of input phi; with `share`, input 1 has
-    one factor, `in1.v1`, for every order."""
-    return f"in{1 if phi == 1 and share else n}.v{phi}"
+def _factor_name(params, n, phi):
+    """Name of the order-n factor of input phi in `params`; without
+    `in{n}.v1`, input 1's factor is the shared `in1.v1`."""
+    name = f"in{n}.v{phi}"
+    return "in1.v1" if phi == 1 and name not in params else name
 
 
 def _layout(kind, order, input_dims, rank, width, out_dim, share):
@@ -104,17 +99,23 @@ def _layout(kind, order, input_dims, rank, width, out_dim, share):
     return shapes
 
 
-def _check_block(blk: ChainBlock, input_dims, who):
-    """Reject a block whose parameter names or shapes do not fit its kind,
-    order (the number of `in{n}.v0` factors), input dims and sharing."""
+def _check_block(blk: ChainBlock, i, dims):
+    """Reject block `i` of a chain if its parameter names or shapes do not
+    fit its kind, order (the number of `in{n}.v0` factors), inputs and
+    sharing (no `in2.v1`, which changes no name at order 1 or over one
+    input). `dims` are the chain's inputs there: block 0 reads every
+    variable; a later block reads the previous output, then every
+    conditional variable or none."""
+    who = f"block {i}"
     if blk.kind not in _BLOCK_KINDS:
         raise ValueError(f"{who}: unknown block kind '{blk.kind}'")
-    share = blk.share_conditional
-    if share and len(input_dims) < 2:
-        raise ValueError(f"{who}: share_conditional needs a second variable")
-    order = blk.order
+    order, n = blk.order, blk.n_variables
     if order < 1:
         raise ValueError(f"{who} needs at least one order")
+    if n != len(dims) and not (i and n == 1):
+        raise ValueError(
+            f"{who} reads {n} input(s), expected {len(dims)}" + (" or 1" if i else "")
+        )
     p = blk.params
     # 0 where absent or short of dimensions; read only once the names and
     # dimension counts have passed
@@ -122,7 +123,8 @@ def _check_block(blk: ChainBlock, input_dims, who):
         (*np.shape(p.get(name, ())), 0, 0)[axis]
         for name, axis in (("in1.v0", 1), ("seed1", 0), ("head", 0))
     )
-    want = _layout(blk.kind, order, input_dims, rank, width, out_dim, share)
+    share = "in2.v1" not in p
+    want = _layout(blk.kind, order, dims[:n], rank, width, out_dim, share)
     if set(want) != set(p):
         missing = [name for name in want if name not in p]
         unexpected = [name for name in p if name not in want]
@@ -192,11 +194,11 @@ def _plain(blk, inputs):
     return p, [_value(z) for z in inputs], leaves
 
 
-def _mix(p, zs, n, share):
+def _mix(p, zs, n):
     """sum_phi U_n,phi^T z_phi."""
-    acc = p[_factor_name(n, 0, share)].swapaxes(-1, -2) @ zs[0]
+    acc = p[f"in{n}.v0"].swapaxes(-1, -2) @ zs[0]
     for phi in range(1, len(zs)):
-        acc = acc + p[_factor_name(n, phi, share)].swapaxes(-1, -2) @ zs[phi]
+        acc = acc + p[_factor_name(p, n, phi)].swapaxes(-1, -2) @ zs[phi]
     return acc
 
 
@@ -204,13 +206,13 @@ def _plus(prev, contrib):
     return contrib if prev is None else prev + contrib
 
 
-def _mix_vjp(p, zs, n, share, g, grads):
+def _mix_vjp(p, zs, n, g, grads):
     """Sum the order-n mix's factor and input gradients into `grads`, the
     last input first. Called for n = N..1, this is the order in which a
     tape of single ops would sum a shared factor's or an input's parts,
     so the sums round alike."""
     for phi in range(len(zs) - 1, -1, -1):
-        name = _factor_name(n, phi, share)
+        name = _factor_name(p, n, phi)
         if name in grads:
             grads[name] = _plus(grads[name], (g @ zs[phi].T).T)
         if phi in grads:
@@ -246,10 +248,10 @@ def ccp_forward_cols(blk: ChainBlock, inputs):
     with one input variable it is the Pi-net recursion. When any parameter
     or input is a Var, one tape node whose VJP runs the recursion backwards."""
     p, zs, leaves = _plain(blk, inputs)
-    order, share = blk.order, blk.share_conditional
-    ys, mixes = [_mix(p, zs, 1, share)], [None]
+    order = blk.order
+    ys, mixes = [_mix(p, zs, 1)], [None]
     for n in range(2, order + 1):
-        mixes.append(_mix(p, zs, n, share))
+        mixes.append(_mix(p, zs, n))
         ys.append(ys[-1] + mixes[-1] * ys[-1])
     out = p["head"] @ ys[-1] + _col(p["head_bias"])
     if not leaves:
@@ -258,9 +260,9 @@ def ccp_forward_cols(blk: ChainBlock, inputs):
     def vjp(grads, g):
         g_y = _head_vjp(p, ys[-1], g, grads)
         for n in range(order, 1, -1):
-            _mix_vjp(p, zs, n, share, g_y * ys[n - 2], grads)
+            _mix_vjp(p, zs, n, g_y * ys[n - 2], grads)
             g_y = g_y + g_y * mixes[n - 1]
-        _mix_vjp(p, zs, 1, share, g_y, grads)
+        _mix_vjp(p, zs, 1, g_y, grads)
 
     return _block_node(leaves, out, vjp)
 
@@ -272,10 +274,10 @@ def ncp_forward_cols(blk: ChainBlock, inputs):
     recursion backwards."""
     combine = _COMBINE[blk.kind]
     p, zs, leaves = _plain(blk, inputs)
-    order, share = blk.order, blk.share_conditional
+    order = blk.order
     ys, lefts, rights = [], [], []
     for n in range(1, order + 1):
-        lefts.append(_mix(p, zs, n, share))
+        lefts.append(_mix(p, zs, n))
         offset = p[f"off{n}"].swapaxes(-1, -2) @ _col(p[f"seed{n}"])
         rights.append(
             offset if n == 1 else p[f"state{n}"].swapaxes(-1, -2) @ ys[-1] + offset
@@ -302,7 +304,7 @@ def ncp_forward_cols(blk: ChainBlock, inputs):
                 if f"state{n}" in grads:
                     grads[f"state{n}"] = (g_right @ ys[n - 2].T).T
                 g_y = p[f"state{n}"] @ g_right
-            _mix_vjp(p, zs, n, share, g_left, grads)
+            _mix_vjp(p, zs, n, g_left, grads)
 
     return _block_node(leaves, out, vjp)
 
@@ -334,20 +336,10 @@ class ModelSpec:
             raise ValueError("ModelSpec needs at least one block")
         if self.output_activation not in ("none", "tanh"):
             raise ValueError(f"unknown output_activation '{self.output_activation}'")
-        if self.blocks[0].consume_prev:
-            raise ValueError("block 0 has no predecessor to consume")
-        prev_out = None
+        dims = self.var_dims
         for i, blk in enumerate(self.blocks):
-            if not blk.consume_prev and not blk.consume_vars:
-                raise ValueError(f"block {i} consumes nothing")
-            for j in blk.consume_vars:
-                if not 0 <= j < len(self.var_dims):
-                    raise ValueError(f"block {i} consumes unknown variable {j}")
-            dims = ([prev_out] if blk.consume_prev else []) + [
-                self.var_dims[j] for j in blk.consume_vars
-            ]
-            _check_block(blk, dims, f"block {i}")
-            prev_out = blk.out_dim
+            _check_block(blk, i, dims)
+            dims = (blk.out_dim, *self.var_dims[1:])
 
     @property
     def out_dim(self):
@@ -360,7 +352,10 @@ def product_compose(spec: ModelSpec, inputs):
     cols, squeeze = _prep_inputs(inputs, spec.var_dims, "product_compose")
     x = None
     for blk in spec.blocks:
-        ins = ([x] if blk.consume_prev else []) + [cols[j] for j in blk.consume_vars]
+        ins = cols
+        if x is not None:
+            # a later block has the conditional variables' factors or none
+            ins = [x, *cols[1:]] if "in1.v1" in blk.params else [x]
         forward = ccp_forward_cols if blk.kind == "ccp" else ncp_forward_cols
         x = forward(blk, ins)
     if spec.output_activation == "tanh":
@@ -373,12 +368,12 @@ def _uniform(rng, shape, scale):
 
 
 def init_block(rng, kind, input_dims, rank, out_dim, order, share_conditional=False):
-    """A `kind` block that consumes variables 0..len(input_dims)-1, drawn
-    in the order of its unshared `_layout`: factors, states, offsets and
-    head uniformly in +-1/sqrt(rank), seeds ones, head bias zeros; its
-    offsets are `rank` wide. A shared block still draws the conditional
-    factors it drops, so sharing does not shift the stream for the
-    parameters drawn after."""
+    """A `kind` block over inputs of `input_dims`, drawn in the order of its
+    unshared `_layout`: factors, states, offsets and head uniformly in
+    +-1/sqrt(rank), seeds ones, head bias zeros; its offsets are `rank`
+    wide. A shared block still draws the conditional factors it drops, so
+    sharing does not shift the stream for the parameters drawn after; over
+    one input there is nothing to share."""
     scale = 1.0 / np.sqrt(rank)
     params = {}
     layout = _layout(kind, order, input_dims, rank, rank, out_dim, False)
@@ -392,7 +387,7 @@ def init_block(rng, kind, input_dims, rank, out_dim, order, share_conditional=Fa
     if share_conditional:
         kept = _layout(kind, order, input_dims, 0, 0, 0, True)
         params = {name: params[name] for name in kept}
-    return ChainBlock(kind, params, False, tuple(range(len(input_dims))), share_conditional)
+    return ChainBlock(kind, params)
 
 
 def init_concat_linear(rng, input_dims, out_dim):
@@ -406,7 +401,7 @@ def init_concat_linear(rng, input_dims, out_dim):
         for phi, rows in enumerate(np.split(w, np.cumsum(input_dims)[:-1]))
     }
     params.update(head=np.eye(out_dim), head_bias=np.zeros(out_dim))
-    return ChainBlock("ccp", params, False, tuple(range(len(input_dims))))
+    return ChainBlock("ccp", params)
 
 
 def init_chain(
@@ -424,26 +419,11 @@ def init_chain(
     """Standard chain: block 0 sees every variable, later blocks see the
     previous output plus (optionally) the conditional variables again."""
     var_dims = tuple(int(d) for d in var_dims)
-    cond_vars = tuple(range(1, len(var_dims)))
-    blocks = []
-    prev = None
+    blocks, dims = [], var_dims
     for i, order in enumerate(block_orders):
-        if i == 0:
-            consume_prev, consume_vars = False, tuple(range(len(var_dims)))
-        else:
-            consume_prev = True
-            consume_vars = cond_vars if reconsume_conditional else ()
-        dims = ([prev] if consume_prev else []) + [var_dims[j] for j in consume_vars]
         width = out_dim if i == len(block_orders) - 1 else hidden_dim
-        share = share_conditional and len(dims) >= 2
-        blocks.append(
-            replace(
-                init_block(rng, kind, dims, rank, width, order, share),
-                consume_prev=consume_prev,
-                consume_vars=consume_vars,
-            )
-        )
-        prev = width
+        blocks.append(init_block(rng, kind, dims, rank, width, order, share_conditional))
+        dims = (width, *var_dims[1:]) if reconsume_conditional else (width,)
     return ModelSpec(var_dims=var_dims, blocks=blocks, output_activation=output_activation)
 
 
@@ -467,7 +447,7 @@ def spade_config(blk: ChainBlock) -> ChainBlock:
     params["off1"][0, :] = 1.0
     params["seed1"] = np.zeros_like(p["seed1"])
     params["seed1"][0] = 1.0
-    return replace(blk, kind="ncp", params=params, share_conditional=False)
+    return ChainBlock("ncp", params)
 
 
 def init_discriminator(rng, x_dim, c_dim, hidden):

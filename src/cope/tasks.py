@@ -19,20 +19,8 @@ class CondPointCloud:
 
     def __post_init__(self):
         self.means = np.asarray(self.means, dtype=np.float64)
-        k = self.means.shape[0]
         if self.means.ndim != 2 or self.means.shape[1] != 2:
             raise ValueError(f"means must be (n_classes, 2), got {self.means.shape}")
-        # one row of gaps per mean, to the means after it: O(k) memory
-        gap = min(
-            (np.linalg.norm(self.means[i + 1 :] - self.means[i], axis=1).min()
-             for i in range(k - 1)),
-            default=np.inf,
-        )
-        if gap < 4.0 * self.std:
-            raise ValueError(
-                f"clusters overlap: min mean gap {gap:.4f} is below "
-                f"4 x std {4.0 * self.std:.4f}"
-            )
 
     @property
     def n_classes(self) -> int:
@@ -49,14 +37,12 @@ class CondPointCloud:
 def make_cond_point_cloud(n_classes: int, radius: float, std: float) -> CondPointCloud:
     """`n_classes` means evenly spaced on a circle of `radius`.
 
-    Neighbours on the circle are its closest pair, 2 r sin(pi / n) apart, so
-    a crowded circle is rejected before its means are allocated. The
-    closed form and the gap between the rounded means differ by at most
-    2.5e-13 relative up to 1,000 classes; a relative margin of 1e-9 leaves
-    every borderline circle to the means' own check.
+    Neighbours on the circle are its closest pair, 2 r sin(pi / n) apart;
+    a circle on which that gap is below 4 stds, the floor the nearest-centre
+    score needs, is rejected before its means are allocated.
     """
     gap = 2.0 * radius * np.sin(np.pi / n_classes) if n_classes > 1 else np.inf
-    if gap * (1.0 + 1e-9) < 4.0 * std:
+    if gap < 4.0 * std:
         raise ValueError(
             f"clusters overlap: neighbouring means are {gap:.4g} apart, "
             f"below 4 x std {4.0 * std:.4f}"

@@ -211,8 +211,6 @@ def _silence_last_input(blk: ChainBlock) -> ChainBlock:
     return ChainBlock(
         "ccp",
         {name: a for name, a in blk.params.items() if not name.endswith(f".v{phi}")},
-        False,
-        blk.consume_vars[:-1],
     )
 
 

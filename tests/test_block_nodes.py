@@ -63,10 +63,11 @@ def ref_block(blk, inputs):
 
 
 def ref_compose(spec, cols):
-    x = None
-    for blk in spec.blocks:
-        ins = ([x] if blk.consume_prev else []) + [cols[j] for j in blk.consume_vars]
-        x = ref_block(blk, ins)
+    """Block 0 reads every variable; a later block reads the previous
+    output, then the conditional variables when it has their factors."""
+    x = ref_block(spec.blocks[0], cols)
+    for blk in spec.blocks[1:]:
+        x = ref_block(blk, [x, *cols[1:]][: blk.n_variables])
     if spec.output_activation == "tanh":
         x = tanh(x)
     return x
@@ -140,9 +141,12 @@ def test_block_node_is_the_per_op_tape_bitwise(kind, order):
 @pytest.mark.parametrize("kind", ["ccp", "ncp", "additive"])
 def test_chain_of_block_nodes_is_the_per_op_tape_bitwise(kind):
     rng = np.random.default_rng(97)
+    # ccp shares and reads the label again, ncp does not share, and the
+    # additive chain's later blocks read the previous output alone
     spec = init_chain(
         rng, (3, 2), (2, 3, 1), rank=4, hidden_dim=3, out_dim=2, kind=kind,
-        share_conditional=kind != "ncp", output_activation="tanh",
+        share_conditional=kind != "ncp", reconsume_conditional=kind != "additive",
+        output_activation="tanh",
     )
     values = dict(model_parameters(spec))
     values.update({"z0": rng.uniform(-1.0, 1.0, (3, 5)), "z1": rng.uniform(-1, 1, (2, 5))})

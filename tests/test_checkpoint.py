@@ -13,10 +13,11 @@ from cope.rng import stream
 from cope.training import train_regression
 
 
-def _chain(seed=0, share=False):
+def _chain(seed=0, share=False, reconsume=True, var_dims=(3, 2)):
     return init_chain(
-        stream(seed, "init"), (3, 2), (2, 2), rank=3, hidden_dim=3, out_dim=2,
-        kind="ncp", share_conditional=share, output_activation="tanh",
+        stream(seed, "init"), var_dims, (2, 2), rank=3, hidden_dim=3, out_dim=2,
+        kind="ncp", share_conditional=share, reconsume_conditional=reconsume,
+        output_activation="tanh",
     )
 
 
@@ -33,6 +34,28 @@ def test_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(
         product_compose(spec, z), product_compose(back, z)
     )
+
+
+@pytest.mark.parametrize(
+    "share, reconsume, var_dims",
+    [(True, True, (3, 2)), (False, False, (3, 2)), (False, True, (3,))],
+)
+def test_each_wiring_round_trips_from_its_names(tmp_path, share, reconsume, var_dims):
+    # a block is stored as its kind and its arrays; the names carry its
+    # inputs and its sharing
+    spec = _chain(share=share, reconsume=reconsume, var_dims=var_dims)
+    path = tmp_path / "m.json"
+    save_model(path, spec)
+    doc = json.loads(path.read_text())
+    assert doc["version"] == 4
+    assert all(set(blk) == {"kind", "params"} for blk in doc["blocks"])
+    back = load_model(path)
+    assert [list(b.params) for b in back.blocks] == [list(b.params) for b in spec.blocks]
+    a, b = model_parameters(spec), model_parameters(back)
+    for name in a:
+        assert a[name].tobytes() == b[name].tobytes(), name
+    z = [np.linspace(-1, 1, 4 * d).reshape(d, 4) for d in var_dims]
+    assert product_compose(spec, z).tobytes() == product_compose(back, z).tobytes()
 
 
 def test_trained_model_saved_from_views_round_trips(tmp_path):
@@ -57,7 +80,6 @@ def test_round_trip_restores_sharing(tmp_path):
     save_model(path, spec)
     back = load_model(path)
     for blk in back.blocks:
-        assert blk.share_conditional
         assert "in1.v1" in blk.params and "in2.v1" not in blk.params
     z = [np.linspace(-1, 1, 12).reshape(3, 4), np.ones((2, 4))]
     np.testing.assert_array_equal(
@@ -71,7 +93,7 @@ def test_unshared_stays_unshared(tmp_path):
     save_model(path, spec)
     back = load_model(path)
     blk = back.blocks[0]
-    assert not blk.share_conditional
+    assert "in2.v1" in blk.params
     assert blk.params["in2.v1"] is not blk.params["in1.v1"]
 
 
@@ -109,14 +131,22 @@ def test_rejects_newer_version(tmp_path):
 
 
 def test_rejects_version_1_document(tmp_path):
-    # and version 2, whose models could center between blocks
+    # and version 2, whose models could center between blocks, and version
+    # 3, whose blocks also stored their wiring and sharing as fields
     spec = _chain()
     path = tmp_path / "m.json"
     save_model(path, spec)
     doc = json.loads(path.read_text())
-    for version, extra in ((1, {}), (2, {"centering": "batch_mean"})):
+    v3_blocks = [
+        {**blk, "consume_prev": i > 0, "consume_vars": [1] if i else [0, 1],
+         "share_conditional": False}
+        for i, blk in enumerate(doc["blocks"])
+    ]
+    for version, extra in (
+        (1, {}), (2, {"centering": "batch_mean"}), (3, {"blocks": v3_blocks}),
+    ):
         _write(path, {**doc, "version": version, **extra})
-        with pytest.raises(ValueError, match=f"version {version} is not 3"):
+        with pytest.raises(ValueError, match=f"version {version} is not 4"):
             load_model(path)
 
 
@@ -160,14 +190,16 @@ def _write(path, doc):
         (("output_activation",), "spam", "unknown output_activation 'spam'"),
         (("blocks", 0, "kind"), "spam", "block 0: unknown block kind 'spam'"),
         (("blocks", 0, "kind"), 3, "field 'kind' is int, expected str"),
-        (("blocks", 0, "consume_prev"), 0, "field 'consume_prev' is int, expected bool"),
-        (("blocks", 0, "consume_vars"), [0, -1], "'consume_vars' must list non-negative"),
-        (("blocks", 1, "share_conditional"), DELETE, "missing field 'share_conditional'"),
+        (("var_dims",), [3, 2, 2], r"block 0 reads 2 input\(s\), expected 3$"),
+        (("blocks", 1, "params", "in1.v2"), {"shape": [2, 3], "data": [0] * 6},
+         r"block 1 reads 3 input\(s\), expected 2 or 1$"),
+        (("blocks", 0, "params", "in1.v1"), DELETE,
+         r"block 0 reads 1 input\(s\), expected 2$"),
         (("blocks", 1, "params"), DELETE, "block 1: missing field 'params'"),
         (("blocks", 0, "params", "head"), DELETE, r"block 0: missing parameter\(s\) \['head'\]"),
         (("blocks", 0, "params", "state2"), DELETE, r"missing parameter\(s\) \['state2'\]"),
-        (("blocks", 0, "params", "in2.v1"), {"shape": [2, 3], "data": [0] * 6},
-         r"block 0: missing parameter\(s\) \[\], unexpected \['in2.v1'\]"),
+        (("blocks", 0, "params", "in3.v1"), {"shape": [2, 3], "data": [0] * 6},
+         r"block 0: missing parameter\(s\) \[\], unexpected \['in3.v1'\]"),
         (("blocks", 0, "params", "head"), 1.5, "parameter 'head': expected an object"),
         (("blocks", 0, "params", "head", "data"), None,
          "parameter 'head': field 'data' is NoneType, expected list"),

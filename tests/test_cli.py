@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from cope.checkpoint import load_model
-from cope.cli import _RUNNERS, build_parser, main, resolve_output_dir
+from cope.cli import _RUNNERS, build_parser, exit_status, main, resolve_output_dir
 from cope.config import COMMANDS, resolve
 
 # a conditional generator small enough for a step to take milliseconds
@@ -217,6 +217,17 @@ def test_value_error_during_a_run_exits_1(tmp_path, capsys, monkeypatch):
     assert code == 1
     err = capsys.readouterr().err
     assert "error: broken trainer" in err and "config error" not in err
+
+
+def test_memory_error_during_a_run_exits_1(capsys):
+    # a raise, not a real allocation: one too large could be granted and
+    # then kill the process on a machine that overcommits memory
+    def out_of_memory():
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    assert exit_status(out_of_memory) == 1
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 7.28 TiB for an array\n"
 
 
 def test_degree_report_matches_nominal_order(tmp_path, capsys):

@@ -37,7 +37,7 @@ def ones_block(kind, order, n_vars=2, d=1, k=1, o=1, width=1):
         params.update({f"seed{n}": np.ones(width) for n in range(1, order + 1)})
     params["head"] = np.ones((o, k))
     params["head_bias"] = np.zeros(o)
-    return ChainBlock(kind, params, False, tuple(range(n_vars)))
+    return ChainBlock(kind, params)
 
 
 def alone(blk):
@@ -199,10 +199,7 @@ class TestReductions:
             for n in range(1, 4):
                 p.params[f"in{n}.v1"] = np.zeros_like(p.params[f"in{n}.v1"])
             single = ChainBlock(
-                "ccp",
-                {k: v for k, v in p.params.items() if not k.endswith(".v1")},
-                False,
-                (0,),
+                "ccp", {k: v for k, v in p.params.items() if not k.endswith(".v1")}
             )
             z = rng.uniform(-1, 1, 3)
             np.testing.assert_allclose(
@@ -215,10 +212,7 @@ class TestReductions:
         for n in range(1, 4):
             p3.params[f"in{n}.v2"] = np.zeros_like(p3.params[f"in{n}.v2"])
         p2 = ChainBlock(
-            "ccp",
-            {k: v for k, v in p3.params.items() if not k.endswith(".v2")},
-            False,
-            (0, 1),
+            "ccp", {k: v for k, v in p3.params.items() if not k.endswith(".v2")}
         )
         z1, z2 = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 2)
         np.testing.assert_array_equal(
@@ -258,10 +252,11 @@ class TestReductions:
 
 class TestSharing:
     def test_alias_required(self):
-        # a shared block keeps one conditional factor, read by every order
-        p = ones_block("ccp", 2, d=2, k=3)
-        with pytest.raises(ValueError, match=r"unexpected \['in2.v1'\]"):
-            alone(ChainBlock("ccp", p.params, False, (0, 1), share_conditional=True))
+        # a block without `in2.v1` shares `in1.v1`, read by every order
+        p = ones_block("ccp", 3, d=2, k=3)
+        del p.params["in2.v1"]
+        with pytest.raises(ValueError, match=r"parameter\(s\) \[\], unexpected \['in3.v1'\]"):
+            alone(p)
 
     def test_sharing_is_identity_when_factors_already_equal(self):
         rng = np.random.default_rng(35)
@@ -286,9 +281,16 @@ class TestSharing:
         assert {"in1.v0", "in2.v0", "in3.v0"} <= set(names)
 
     def test_sharing_needs_a_second_variable(self):
-        p = ones_block("ccp", 1, n_vars=1)
-        with pytest.raises(ValueError, match="share_conditional needs a second"):
-            alone(ChainBlock("ccp", p.params, False, (0,), share_conditional=True))
+        # over one variable there is no conditional factor, so asking for
+        # sharing draws the unshared block
+        shared, free = (
+            init_block(np.random.default_rng(47), "ccp", (3,), 4, 2, 3, share_conditional=s)
+            for s in (True, False)
+        )
+        assert list(shared.params) == list(free.params)
+        for name, a in free.params.items():
+            np.testing.assert_array_equal(shared.params[name], a)
+        assert shared.n_variables == 1 and alone(shared).var_dims == (3,)
 
 
 def _drop(params, *names):
@@ -312,7 +314,7 @@ class TestBlockValidation:
     )
     def test_rejects_names_or_shapes_that_do_not_fit(self, kind, edit, match):
         p = init_block(np.random.default_rng(44), "ncp", (3, 2), 4, 2, order=2)
-        blk = ChainBlock(kind, edit(dict(p.params)), False, (0, 1))
+        blk = ChainBlock(kind, edit(dict(p.params)))
         with pytest.raises(ValueError, match=f"^block 0.*{match}"):
             ModelSpec((3, 2), [blk])
 
@@ -349,32 +351,30 @@ class TestChains:
 
     def test_chain_validation(self):
         rng = np.random.default_rng(40)
-        good = init_chain(rng, (3, 2), (2, 2), rank=4, hidden_dim=3, out_dim=2)
-        with pytest.raises(ValueError, match="block 0 has no predecessor"):
-            ModelSpec(
-                var_dims=(3, 2),
-                blocks=[
-                    ChainBlock("ccp", good.blocks[1].params, True, (1,)),
-                ],
-            )
-        with pytest.raises(ValueError, match=r"block 1: .*unexpected \['in1.v1'"):
-            ModelSpec(
-                var_dims=(3, 2),
-                blocks=[
-                    good.blocks[0],
-                    ChainBlock("ccp", good.blocks[0].params, True, ()),
-                ],
-            )
+        good = init_chain(rng, (3, 2), (2, 2), rank=4, hidden_dim=5, out_dim=2)
+        first, second = good.blocks
+        alone_first = ChainBlock("ccp", _drop(first.params, "in1.v1", "in2.v1"))
+        with pytest.raises(ValueError, match=r"^block 0 reads 1 input\(s\), expected 2$"):
+            ModelSpec((3, 2), [alone_first, second])
+        # block 1 reads block 0's 5 outputs, not the 3 of variable 0
         with pytest.raises(
-            ValueError, match=r"block 1: parameter 'in1.v1' has shape \(2, 4\), "
+            ValueError, match=r"block 1: parameter 'in1.v0' has shape \(3, 4\), "
         ):
-            ModelSpec(
-                var_dims=(3, 2),
-                blocks=[
-                    good.blocks[0],
-                    ChainBlock("ccp", good.blocks[1].params, True, (0,)),
-                ],
-            )
+            ModelSpec((3, 2), [first, first])
+        # a later block may read the previous output alone
+        without = ChainBlock("ccp", _drop(second.params, "in1.v1", "in2.v1"))
+        ModelSpec((3, 2), [first, without])
+
+    def test_a_later_block_reads_every_conditional_variable_or_none(self):
+        good = init_chain(
+            np.random.default_rng(48), (3, 2, 2), (2, 2), rank=4, hidden_dim=3, out_dim=2
+        )
+        first, second = good.blocks
+        two_of_three = ChainBlock("ccp", _drop(second.params, "in1.v2", "in2.v2"))
+        with pytest.raises(
+            ValueError, match=r"^block 1 reads 2 input\(s\), expected 3 or 1$"
+        ):
+            ModelSpec((3, 2, 2), [first, two_of_three])
 
     def test_blocks_without_reconsume(self):
         rng = np.random.default_rng(41)
@@ -387,7 +387,7 @@ class TestChains:
             out_dim=2,
             reconsume_conditional=False,
         )
-        assert spec.blocks[1].consume_vars == ()
+        assert spec.blocks[1].n_variables == 1
         out = product_compose(spec, [np.ones(3), np.ones(2)])
         assert out.shape == (2,)
 
@@ -402,7 +402,7 @@ class TestParameterWalk:
         tape = Tape()
         lifted = lift_model(tape, spec)
         for blk, orig in zip(lifted.blocks, spec.blocks):
-            assert blk.share_conditional and "in2.v1" not in blk.params
+            assert "in1.v1" in blk.params and "in2.v1" not in blk.params
             assert list(blk.params) == list(orig.params)
             assert all(isinstance(v, Var) for v in blk.params.values())
         z1, z2 = rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (2, 4))

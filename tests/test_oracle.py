@@ -37,7 +37,7 @@ def ones_ccp(order, n_vars):
     names = [f"in{n}.v{phi}" for n in range(1, order + 1) for phi in range(n_vars)]
     params = {name: np.ones((1, 1)) for name in names + ["head"]}
     params["head_bias"] = np.zeros(1)
-    return ChainBlock("ccp", params, False, tuple(range(n_vars)))
+    return ChainBlock("ccp", params)
 
 
 class TestEvalExplicit:

@@ -91,6 +91,14 @@ def test_rejected_config_exits_2_and_writes_nothing(tmp_path, script):
     assert not out.exists()
 
 
+def test_verify_sweep_out_under_a_file_exits_1_without_traceback(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    done = _script("verify_sweep.py", 0, "--out", taken / "sweep")
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+
+
 def test_degree_report_runs_its_preset(tmp_path):
     done = _script("degree_report.py", "--orders", 2, 3, "--out", tmp_path)
     assert done.returncode == 0, done.stderr

@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from cope.config import resolve
 from cope.oracle import eval_explicit, mode_variables
 from cope.rng import stream
 from cope.tasks import (
@@ -26,11 +29,19 @@ def test_cloud_rejects_overlapping_clusters():
         make_cond_point_cloud(4, 0.05, 0.5)
 
 
-# 2 r sin(pi / 4) at r = 3.7 rounds one ulp below the rounded means' gap
+def _min_gap(means):
+    """The least distance between two of `means`, pair by pair."""
+    return min(
+        np.linalg.norm(means[i + 1 :] - means[i], axis=1).min()
+        for i in range(len(means) - 1)
+    )
+
+
+# The border is the closed form 2 r sin(pi / k) = 4 std itself, not the
+# rounded means' gap; at r = 3.7 and k = 4 the two differ by one ulp.
 @pytest.mark.parametrize("k, radius", [(2, 0.6), (4, 3.7), (7, 0.6), (1000, 1000.0)])
 def test_circle_borderline_is_left_to_the_means(k, radius):
-    means = make_cond_point_cloud(k, radius, 1e-12).means
-    gap = min(np.linalg.norm(means[i + 1 :] - means[i], axis=1).min() for i in range(k - 1))
+    gap = 2.0 * radius * np.sin(np.pi / k)
     make_cond_point_cloud(k, radius, gap / 4.0)
     with pytest.raises(ValueError, match="overlap"):
         make_cond_point_cloud(k, radius, np.nextafter(gap / 4.0, np.inf))
@@ -38,15 +49,21 @@ def test_circle_borderline_is_left_to_the_means(k, radius):
 
 @pytest.mark.parametrize("k, seed", [(2, 0), (7, 1), (40, 2)])
 def test_cloud_overlap_bound_is_the_brute_force_min_gap(k, seed):
-    means = np.random.default_rng(seed).uniform(-1.0, 1.0, (k, 2))
-    gap = min(
-        float(np.sqrt(np.sum((means[i] - means[j]) ** 2)))
-        for i in range(k)
-        for j in range(i + 1, k)
+    # the closed form is the least gap over every pair of the circle's means
+    radius = float(np.random.default_rng(seed).uniform(0.1, 100.0))
+    means = make_cond_point_cloud(k, radius, 0.0).means
+    np.testing.assert_allclose(
+        _min_gap(means), 2.0 * radius * np.sin(np.pi / k), rtol=1e-12, atol=0.0
     )
-    with pytest.raises(ValueError, match="overlap"):
-        CondPointCloud(means=means, std=gap / 4.0 * (1.0 + 1e-9))
-    CondPointCloud(means=means, std=gap / 4.0 * (1.0 - 1e-9))
+
+
+def test_a_wide_circle_of_many_classes_resolves_at_once():
+    # the check is one closed form, not a scan over pairs of means
+    t0 = time.perf_counter()
+    values = {"n_classes": 20_000, "cluster_radius": 1e4}
+    cfg = resolve(values, {"command": "train-conditional"})
+    assert cfg.n_classes == 20_000
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_cloud_sampling_shape_and_locality():
