@@ -8,10 +8,9 @@ the ccp and ncp recursions compute on plain arrays and, given Vars, push
 one tape node with a hand-written VJP; the rest is written against the
 operator set shared by ndarrays and autodiff Vars. No forward mixes the
 columns of a batch, so a column of a batch is the model on that column
-alone. `product_compose` also accepts plain 1-D vectors. On plain arrays
-the forwards also take parameters with one leading copy axis, for a batch
-of models over the same inputs: copy c of the output is the model made of
-each parameter's slice c.
+alone. On plain arrays the forwards also take parameters with one leading
+copy axis, for a batch of models over the same inputs: copy c of the
+output is the model made of each parameter's slice c.
 """
 
 from __future__ import annotations
@@ -146,31 +145,24 @@ def _check_block(blk: ChainBlock, i, dims):
 
 
 def _prep_inputs(inputs, dims, who):
-    """Validate arity/shapes; return column batches plus a squeeze flag."""
+    """Validate arity and shapes; return the inputs as column batches."""
     inputs = list(inputs)
     if len(inputs) != len(dims):
         raise ValueError(f"{who} expects {len(dims)} input(s), got {len(inputs)}")
-    if any(isinstance(z, Var) for z in inputs):
-        cols, squeeze = list(inputs), False
-    else:
-        # object arrays (exact Fractions) stay as they are
-        arrays = [np.asarray(z) for z in inputs]
-        arrays = [a if a.dtype == object else np.asarray(a, np.float64) for a in arrays]
-        ndims = {a.ndim for a in arrays}
-        if ndims == {1}:
-            cols, squeeze = [a[:, None] for a in arrays], True
-        elif ndims == {2}:
-            cols, squeeze = arrays, False
-        else:
-            raise ValueError(f"{who} got a mix of vectors and batches")
-    for i, (z, d) in enumerate(zip(cols, dims)):
+    # Vars and object arrays (exact Fractions) stay as they are
+    inputs = [z if isinstance(z, Var) else np.asarray(z) for z in inputs]
+    inputs = [
+        z if isinstance(z, Var) or z.dtype == object else np.asarray(z, np.float64)
+        for z in inputs
+    ]
+    for i, (z, d) in enumerate(zip(inputs, dims)):
         if z.ndim != 2 or z.shape[0] != d:
             raise ValueError(
                 f"{who} input {i} has shape {_shape(z)}, expected ({d}, batch)"
             )
-        if z.shape[1] != cols[0].shape[1]:
+        if z.shape[1] != inputs[0].shape[1]:
             raise ValueError(f"{who} inputs disagree on batch size")
-    return cols, squeeze
+    return inputs
 
 
 def _col(vec):
@@ -349,7 +341,7 @@ class ModelSpec:
 def product_compose(spec: ModelSpec, inputs):
     """Run the block chain; each output column depends on its own input
     column alone."""
-    cols, squeeze = _prep_inputs(inputs, spec.var_dims, "product_compose")
+    cols = _prep_inputs(inputs, spec.var_dims, "product_compose")
     x = None
     for blk in spec.blocks:
         ins = cols
@@ -360,7 +352,7 @@ def product_compose(spec: ModelSpec, inputs):
         x = forward(blk, ins)
     if spec.output_activation == "tanh":
         x = tanh(x)
-    return x[..., 0] if squeeze else x
+    return x
 
 
 def _uniform(rng, shape, scale):

@@ -21,35 +21,21 @@ MAX_ORDER = 4
 
 
 def expansion_term_keys(order: int, n_variables: int):
-    """Index tuples of every coefficient tensor in the expansion.
+    """Keys of every coefficient tensor in the expansion, in summation order.
 
-    A key is (n, b_1, ..., b_{V-1}) for order n and V variables, with
-    1 <= b_1 <= ... <= b_{V-1} <= n+1: the bounds that `mode_variables`
-    decodes into each variable's run of modes. With two variables, modes
-    [2, b_1] contract the first variable and modes [b_1+1, n+1] the second.
+    A term's key lists the variable each of its modes 2.. contracts, in
+    ascending order: (0, 1, 1) is the order-3 term with one z_0 mode and
+    two z_1 modes. Within an order the keys run from the last variable's
+    pure term down to the first's; `make_poly_regression` draws its target
+    tensors in this order, so the order fixes each seed's target.
     """
     return [
-        (n,) + bounds
+        key
         for n in range(1, order + 1)
-        for bounds in itertools.combinations_with_replacement(
-            range(1, n + 2), n_variables - 1
+        for key in reversed(
+            list(itertools.combinations_with_replacement(range(n_variables), n))
         )
     ]
-
-
-def mode_variables(key):
-    """Input variable contracted by each of modes 2..n+1 of term `key`.
-
-    The key's entries after n bound the variables' runs of modes, so the
-    count of variable j's modes is the gap between consecutive bounds.
-    """
-    bounds = key[1:] + (key[0] + 1,)
-    out = ()
-    lo = 1
-    for phi, hi in enumerate(bounds):
-        out += (phi,) * (hi - lo)
-        lo = hi
-    return out
 
 
 def _check_limits(n_variables, order, dims, ranks=()):
@@ -66,7 +52,7 @@ def _check_limits(n_variables, order, dims, ranks=()):
 
 @dataclass
 class OracleParams:
-    """Full coefficient tensors of one expansion, keyed by term index."""
+    """Full coefficient tensors of one expansion, keyed as `expansion_term_keys`."""
 
     order: int
     input_dims: tuple[int, ...]
@@ -79,22 +65,21 @@ class OracleParams:
         _check_limits(
             len(self.input_dims), self.order, self.input_dims + (self.output_dim,)
         )
-        expected = set(expansion_term_keys(self.order, len(self.input_dims)))
-        got = set(self.tensors)
+        keys = expansion_term_keys(self.order, len(self.input_dims))
+        expected, got = set(keys), set(self.tensors)
         if got != expected:
             raise ValueError(
                 f"term keys mismatch: missing {sorted(expected - got)}, "
                 f"unexpected {sorted(got - expected)}"
             )
-        for key in sorted(self.tensors):
-            self.tensors[key] = np.asarray(self.tensors[key], dtype=np.float64)
-            want = (self.output_dim,) + tuple(
-                self.input_dims[phi] for phi in mode_variables(key)
-            )
-            if self.tensors[key].shape != want:
-                raise ValueError(
-                    f"tensor {key} has shape {self.tensors[key].shape}, expected {want}"
-                )
+        # a new dict, in summation order: the caller's is left as it was
+        self.tensors = {
+            key: np.asarray(self.tensors[key], dtype=np.float64) for key in keys
+        }
+        for key, t in self.tensors.items():
+            want = (self.output_dim,) + tuple(self.input_dims[phi] for phi in key)
+            if t.shape != want:
+                raise ValueError(f"tensor {key} has shape {t.shape}, expected {want}")
         self.bias = np.asarray(self.bias, dtype=np.float64)
         if self.bias.shape != (self.output_dim,):
             raise ValueError(
@@ -105,25 +90,25 @@ class OracleParams:
 def eval_explicit(params: OracleParams, inputs) -> np.ndarray:
     """Evaluate the expansion by contracting every tensor mode by mode.
 
-    `inputs` are vectors or column batches, as for `product_compose`. Each
-    mode is one matrix-vector product per column, batch axis first, so a
-    column evaluates as it would alone. Terms are accumulated in ascending
-    key order so summation is reproducible bit for bit.
+    `inputs` are column batches, as for `product_compose`. Each mode is
+    one matrix-vector product per column, batch axis first, so a column
+    evaluates as it would alone. Terms are accumulated in key order so
+    summation is reproducible bit for bit.
     """
-    cols, squeeze = _prep_inputs(inputs, params.input_dims, "eval_explicit")
-    # each column contiguous: a strided one can round unlike the vector alone
+    cols = _prep_inputs(inputs, params.input_dims, "eval_explicit")
+    # each column contiguous: a strided one can round unlike the column alone
     zs = [np.ascontiguousarray(z.T)[:, :, None] for z in cols]
     out = params.bias
-    for key in sorted(params.tensors):
-        term = params.tensors[key][None]
+    for key, term in params.tensors.items():
+        term = term[None]
         # contract the last mode each time, as np.tensordot does it
-        for phi in reversed(mode_variables(key)):
+        for phi in reversed(key):
             z = zs[phi]
             term = np.matmul(term.reshape(term.shape[0], -1, z.shape[1]), z).reshape(
                 (z.shape[0],) + term.shape[1:-1]
             )
         out = out + term
-    return out[0] if squeeze else np.ascontiguousarray(out.T)
+    return np.ascontiguousarray(out.T)
 
 
 def build_coupled_tensors(blk: ChainBlock) -> OracleParams:
@@ -132,9 +117,9 @@ def build_coupled_tensors(blk: ChainBlock) -> OracleParams:
     Expands y_N = m_1 * prod_{n>=2} (1 + m_n), m_n = sum_phi U_n,phi^T z_phi:
     level 1 joined with each subset of levels 2..N, under each assignment
     of a variable to every level, is one rank-wise product. Its (variable,
-    level) pairs, sorted, are the term's modes 2.. in order; the Khatri-Rao
-    chain runs over them in reverse so that mode 2 varies fastest, as in
-    the mode-1 unfolding.
+    level) pairs, sorted, are the term's modes 2.. in order, so its key is
+    its variables, sorted; the Khatri-Rao chain runs over the pairs in
+    reverse so that mode 2 varies fastest, as in the mode-1 unfolding.
     """
     if blk.kind != "ccp":
         raise ValueError(f"expected a ccp block, got kind '{blk.kind}'")
@@ -146,16 +131,14 @@ def build_coupled_tensors(blk: ChainBlock) -> OracleParams:
             levels = (1,) + extra
             for phis in itertools.product(range(n_vars), repeat=len(levels)):
                 pairs = sorted(zip(phis, levels))
-                key = (len(levels),) + tuple(
-                    1 + sum(phi <= j for phi in phis) for j in range(n_vars - 1)
-                )
+                key = tuple(sorted(phis))
                 kr = khatri_rao_chain(blk.factor(n, phi) for phi, n in reversed(pairs))
                 chains[key] = chains[key] + kr if key in chains else kr
     c, o = blk.params["head"], blk.out_dim
-    tensors = {}
-    for key, kr in chains.items():
-        shape = (o,) + tuple(dims[phi] for phi in mode_variables(key))
-        tensors[key] = mode1_fold(c @ kr.T, shape)
+    tensors = {
+        key: mode1_fold(c @ kr.T, (o,) + tuple(dims[phi] for phi in key))
+        for key, kr in chains.items()
+    }
     return OracleParams(
         order, dims, o, tensors, np.array(blk.params["head_bias"], dtype=np.float64)
     )

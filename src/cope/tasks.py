@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import OracleParams, eval_explicit, expansion_term_keys, mode_variables
+from .oracle import OracleParams, eval_explicit, expansion_term_keys
 
 
 @dataclass
@@ -82,10 +82,11 @@ def make_poly_regression(
     n_samples: int,
 ) -> PolyRegression:
     input_dims = (in_dim, in_dim)
-    tensors = {}
-    for key in expansion_term_keys(degree, 2):
-        shape = (out_dim,) + tuple(input_dims[phi] for phi in mode_variables(key))
-        tensors[key] = rng.uniform(-1.0, 1.0, size=shape)
+    # both variables are in_dim wide, so a term's shape is its order alone
+    tensors = {
+        key: rng.uniform(-1.0, 1.0, size=(out_dim,) + (in_dim,) * len(key))
+        for key in expansion_term_keys(degree, 2)
+    }
     params = OracleParams(
         order=degree,
         input_dims=input_dims,

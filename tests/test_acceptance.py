@@ -176,7 +176,7 @@ def generator_run(tmp_path_factory):
 
 
 def _read_samples(path):
-    rows = list(csv.reader(open(path)))[1:]
+    rows = list(csv.reader(path.read_text().splitlines()))[1:]
     cls = np.array([int(r[0]) for r in rows])
     pts = np.array([[float(r[1]), float(r[2])] for r in rows]).T
     return cls, pts
@@ -189,7 +189,8 @@ def test_conditional_generator_lands_on_its_clusters(capsys, generator_run):
     assert len(cls) == N_CLASSES * EVAL_PER_CLASS
     accuracy = float(np.mean(nearest_center(g.task, pts) == cls))
     bad_endpoints = []
-    for a, b, t, x0, x1 in list(csv.reader(open(out_dir / "sweep.csv")))[1:]:
+    sweep = (out_dir / "sweep.csv").read_text().splitlines()
+    for a, b, t, x0, x1 in list(csv.reader(sweep))[1:]:
         t = float(t)
         if t in (0.0, 1.0):
             want = int(a) if t == 0.0 else int(b)

@@ -30,7 +30,7 @@ def test_round_trip_bit_exact(tmp_path):
     assert a.keys() == b.keys()
     for name in a:
         np.testing.assert_array_equal(a[name], b[name], err_msg=name)
-    z = [np.linspace(-1, 1, 3), np.array([0.3, -0.7])]
+    z = [np.linspace(-1, 1, 3)[:, None], np.array([[0.3], [-0.7]])]
     np.testing.assert_array_equal(
         product_compose(spec, z), product_compose(back, z)
     )

@@ -48,37 +48,39 @@ def run(blk, inputs):
     return product_compose(alone(blk), inputs)
 
 
-def spade(blk, z_noise, z_cond):
-    return spade_forward_cols(blk, z_noise[:, None], z_cond[:, None])[:, 0]
+def col(*values):
+    """`values` as a one-column batch."""
+    return np.array(values)[:, None]
 
 
 class TestScalarUnrolls:
     def test_ccp_order1(self):
-        assert run(ones_block("ccp", 1), [[2.0], [3.0]]) == pytest.approx([5.0])
+        assert run(ones_block("ccp", 1), [col(2.0), col(3.0)]) == pytest.approx(col(5.0))
 
     def test_ccp_order2(self):
         # y1 = 5, y2 = 5 + 5*5 = 30
-        assert run(ones_block("ccp", 2), [[2.0], [3.0]]) == pytest.approx([30.0])
+        assert run(ones_block("ccp", 2), [col(2.0), col(3.0)]) == pytest.approx(col(30.0))
 
     def test_ncp_order2(self):
         # y1 = 5*1, y2 = 5*(5+1) = 30
-        assert run(ones_block("ncp", 2), [[2.0], [3.0]]) == pytest.approx([30.0])
+        assert run(ones_block("ncp", 2), [col(2.0), col(3.0)]) == pytest.approx(col(30.0))
 
     def test_ncp_zero_seeds_order1_returns_bias(self):
         p = ones_block("ncp", 1)
         p.params["seed1"] = np.zeros(1)
         p.params["head_bias"] = np.array([7.5])
-        assert run(p, [[2.0], [3.0]]) == pytest.approx([7.5])
+        assert run(p, [col(2.0), col(3.0)]) == pytest.approx(col(7.5))
 
     def test_pinet_order2(self):
         # the Pi-net recursion is the one-variable ccp block
         p = ones_block("ccp", 2, n_vars=1, d=2)
         # y1 = 5, y2 = 5 + 5*5 = 30
-        assert run(p, [[2.0, 3.0]]) == pytest.approx([30.0])
+        assert run(p, [col(2.0, 3.0)]) == pytest.approx(col(30.0))
 
     def test_additive_order2(self):
         # y1 = 5 + 1 = 6, y2 = 5 + (6 + 1) = 12
-        assert run(ones_block("additive", 2), [[2.0], [3.0]]) == pytest.approx([12.0])
+        out = run(ones_block("additive", 2), [col(2.0), col(3.0)])
+        assert out == pytest.approx(col(12.0))
 
     def test_concat_linear(self):
         # the order-1 ccp block with an identity head is W^T [z1; z2], with
@@ -87,14 +89,15 @@ class TestScalarUnrolls:
         scale = 1.0 / np.sqrt(3)
         weights = np.random.default_rng(5).uniform(-scale, scale, (3, 2))
         assert (blk.kind, blk.order, blk.input_dims) == ("ccp", 1, (2, 1))
-        z1, z2 = np.array([1.0, 2.0]), np.array([3.0])
-        expected = weights.T @ np.array([1.0, 2.0, 3.0])
+        z1, z2 = col(1.0, 2.0), col(3.0)
+        expected = weights.T @ col(1.0, 2.0, 3.0)
         np.testing.assert_allclose(run(blk, [z1, z2]), expected, rtol=1e-12, atol=0.0)
 
 
 class TestBatchSemantics:
     def test_columns_match_vector_loop(self):
-        # the diagnostics batch their one-column forwards on the chains
+        # the diagnostics batch their one-column forwards on the chains:
+        # each column of a batch is that column run alone
         rng = np.random.default_rng(30)
         specs = [alone(init_block(rng, "ccp", (3, 4), 4, 2, order=3))] + [
             init_chain(
@@ -109,18 +112,39 @@ class TestBatchSemantics:
             batch = product_compose(spec, [z1, z2])
             for b in range(7):
                 np.testing.assert_allclose(
-                    batch[:, b], product_compose(spec, [z1[:, b], z2[:, b]]),
+                    batch[:, b : b + 1],
+                    product_compose(spec, [z1[:, b : b + 1], z2[:, b : b + 1]]),
                     rtol=0, atol=1e-13,
                 )
 
     def test_arity_and_shape_errors(self):
         spec = alone(ones_block("ccp", 1))
         with pytest.raises(ValueError, match="expects 2 input"):
-            product_compose(spec, [[1.0]])
-        with pytest.raises(ValueError, match="input 1 has shape"):
-            product_compose(spec, [[1.0], [1.0, 2.0]])
+            product_compose(spec, [col(1.0)])
+        with pytest.raises(ValueError, match=r"input 1 has shape \(2, 1\)"):
+            product_compose(spec, [col(1.0), col(1.0, 2.0)])
         with pytest.raises(ValueError, match="batch size"):
             product_compose(spec, [np.ones((1, 2)), np.ones((1, 3))])
+
+    def test_vectors_are_rejected(self):
+        # column batches are the one input form: a vector is not one column
+        spec = alone(ones_block("ccp", 1, d=2))
+        with pytest.raises(
+            ValueError,
+            match=r"product_compose input 0 has shape \(2,\), expected \(2, batch\)",
+        ):
+            product_compose(spec, [np.ones(2), np.ones(2)])
+
+    def test_array_input_beside_a_tape_input_is_checked_as_a_batch(self):
+        spec = alone(ones_block("ccp", 1, d=2))
+        tape = Tape()
+        z = tape.constant(col(1.0, 2.0))
+        out = product_compose(lift_model(tape, spec), [z, [[3.0], [4.0]]])
+        np.testing.assert_array_equal(
+            out.value, product_compose(spec, [col(1.0, 2.0), col(3.0, 4.0)])
+        )
+        with pytest.raises(ValueError, match=r"input 1 has shape \(2,\), expected"):
+            product_compose(lift_model(Tape(), spec), [z, [3.0, 4.0]])
 
 
 def stacked(models):
@@ -165,16 +189,10 @@ class TestCopyAxis:
         ]
         z = [rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (2, 4))]
         out = product_compose(stacked(chains), z)
-        # plain vectors: one output vector per copy
-        vec = product_compose(stacked(chains), [z[0][:, 0], z[1][:, 0]])
-        assert (out.shape, vec.shape) == ((self.COPIES, 2, 4), (self.COPIES, 2))
+        assert out.shape == (self.COPIES, 2, 4)
         for c, chain in enumerate(chains):
             np.testing.assert_allclose(
                 out[c], product_compose(chain, z), rtol=1e-13, atol=0.0
-            )
-            np.testing.assert_allclose(
-                vec[c], product_compose(chain, [z[0][:, 0], z[1][:, 0]]),
-                rtol=1e-13, atol=0.0,
             )
 
     @pytest.mark.parametrize("kind", ["ccp", "ncp"])
@@ -185,10 +203,10 @@ class TestCopyAxis:
         exact = with_parameters(
             blk, {name: as_fractions(a) for name, a in blk.params.items()}
         )
-        z = [np.array([Fraction(1, 3)]), np.array([Fraction(1, 2)])]
+        z = [col(Fraction(1, 3)), col(Fraction(1, 2))]
         out = run(exact, z)
         assert out.dtype == object
-        assert out.tolist() == [Fraction(55, 36)]
+        assert out.tolist() == [[Fraction(55, 36)]]
 
 
 class TestReductions:
@@ -201,9 +219,9 @@ class TestReductions:
             single = ChainBlock(
                 "ccp", {k: v for k, v in p.params.items() if not k.endswith(".v1")}
             )
-            z = rng.uniform(-1, 1, 3)
+            z = rng.uniform(-1, 1, (3, 1))
             np.testing.assert_allclose(
-                run(p, [z, np.zeros(2)]), run(single, [z]), atol=1e-12
+                run(p, [z, np.zeros((2, 1))]), run(single, [z]), atol=1e-12
             )
 
     def test_three_variable_ccp_with_zero_third_collapses(self):
@@ -214,9 +232,9 @@ class TestReductions:
         p2 = ChainBlock(
             "ccp", {k: v for k, v in p3.params.items() if not k.endswith(".v2")}
         )
-        z1, z2 = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 2)
+        z1, z2 = rng.uniform(-1, 1, (3, 1)), rng.uniform(-1, 1, (2, 1))
         np.testing.assert_array_equal(
-            run(p3, [z1, z2, np.zeros(2)]), run(p2, [z1, z2])
+            run(p3, [z1, z2, np.zeros((2, 1))]), run(p2, [z1, z2])
         )
 
     def test_gated_forward_in_spade_configuration(self):
@@ -224,9 +242,9 @@ class TestReductions:
         for _ in range(5):
             p = init_block(rng, "ncp", (3, 2), 4, 2, order=3)
             cfg = spade_config(p)
-            zn, zc = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 2)
+            zn, zc = rng.uniform(-1, 1, (3, 1)), rng.uniform(-1, 1, (2, 1))
             np.testing.assert_allclose(
-                run(cfg, [zn, zc]), spade(p, zn, zc), atol=1e-12
+                run(cfg, [zn, zc]), spade_forward_cols(p, zn, zc), atol=1e-12
             )
 
     def test_spade_degree_split(self):
@@ -268,7 +286,7 @@ class TestSharing:
         assert shared.params.keys() == free.params.keys() - {"in2.v1", "in3.v1"}
         for name in shared.params:
             shared.params[name] = free.params[name]
-        z1, z2 = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 2)
+        z1, z2 = rng.uniform(-1, 1, (3, 1)), rng.uniform(-1, 1, (2, 1))
         np.testing.assert_array_equal(run(shared, [z1, z2]), run(free, [z1, z2]))
 
     def test_shared_factor_listed_once(self):
@@ -388,8 +406,8 @@ class TestChains:
             reconsume_conditional=False,
         )
         assert spec.blocks[1].n_variables == 1
-        out = product_compose(spec, [np.ones(3), np.ones(2)])
-        assert out.shape == (2,)
+        out = product_compose(spec, [np.ones((3, 1)), np.ones((2, 1))])
+        assert out.shape == (2, 1)
 
 
 class TestParameterWalk:
@@ -434,8 +452,8 @@ class TestParameterWalk:
         assert [b.params.keys() for b in swapped.blocks] == [
             b.params.keys() for b in spec.blocks
         ]
-        z = [np.ones(3), np.ones(2)]
-        np.testing.assert_array_equal(product_compose(swapped, z), np.zeros(2))
+        z = [np.ones((3, 1)), np.ones((2, 1))]
+        np.testing.assert_array_equal(product_compose(swapped, z), np.zeros((2, 1)))
         assert np.any(product_compose(spec, z) != 0)
 
 

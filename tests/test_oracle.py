@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -10,12 +11,11 @@ from cope.oracle import (
     degree_probe,
     eval_explicit,
     expansion_term_keys,
-    mode_variables,
 )
 
 
 def term_shape(key, input_dims, output_dim):
-    return (output_dim,) + tuple(input_dims[phi] for phi in mode_variables(key))
+    return (output_dim,) + tuple(input_dims[phi] for phi in key)
 
 
 def ones_oracle(order, input_dims, output_dim=1, n_vars=2):
@@ -47,22 +47,22 @@ class TestEvalExplicit:
             order=1,
             input_dims=(d, d),
             output_dim=d,
-            tensors={(1, 1): np.eye(d), (1, 2): np.eye(d)},
+            tensors={(1,): np.eye(d), (0,): np.eye(d)},
             bias=np.zeros(d),
         )
-        z1 = np.array([1.0, 2.0, 3.0])
-        z2 = np.array([10.0, 20.0, 30.0])
+        z1 = np.array([[1.0], [2.0], [3.0]])
+        z2 = np.array([[10.0], [20.0], [30.0]])
         np.testing.assert_array_equal(eval_explicit(params, [z1, z2]), z1 + z2)
 
     def test_scalar_all_ones_order2(self):
         params = ones_oracle(2, (1, 1))
         # 3 + 2 + 9 + 6 + 4 with z_noise=2, z_cond=3
-        assert eval_explicit(params, [[2.0], [3.0]]) == pytest.approx(24.0)
+        assert eval_explicit(params, [[[2.0]], [[3.0]]]) == pytest.approx(24.0)
 
     def test_scalar_all_ones_three_variables(self):
         params = ones_oracle(2, (1, 1, 1), n_vars=3)
         # (5+3+2) + (25+15+9+10+6+4) with inputs 2, 3, 5
-        out = eval_explicit(params, [[2.0], [3.0], [5.0]])
+        out = eval_explicit(params, [[[2.0]], [[3.0]], [[5.0]]])
         assert out == pytest.approx(79.0)
 
     def test_three_variable_reduces_to_two(self):
@@ -71,18 +71,17 @@ class TestEvalExplicit:
         tensors3 = {}
         tensors2 = {}
         for key in expansion_term_keys(order, 3):
-            n, rho, delta = key
             shape = term_shape(key, (d1, d2, d3), o)
-            if delta == n + 1:
+            if 2 not in key:
                 t = rng.standard_normal(shape)
                 tensors3[key] = t
-                tensors2[(n, rho)] = t
+                tensors2[key] = t
             else:
                 tensors3[key] = np.zeros(shape)
         bias = rng.standard_normal(o)
         p3 = OracleParams(order, (d1, d2, d3), o, tensors3, bias)
         p2 = OracleParams(order, (d1, d2), o, tensors2, bias)
-        z1, z2, z3 = rng.standard_normal(d1), rng.standard_normal(d2), rng.standard_normal(d3)
+        z1, z2, z3 = (rng.standard_normal((d, 1)) for d in (d1, d2, d3))
         np.testing.assert_array_equal(
             eval_explicit(p3, [z1, z2, z3]), eval_explicit(p2, [z1, z2])
         )
@@ -92,20 +91,20 @@ class TestEvalExplicit:
         base = ones_oracle(2, (2, 2), output_dim=2)
         for key in base.tensors:
             base.tensors[key] = rng.standard_normal(base.tensors[key].shape)
-        z = [rng.standard_normal(2), rng.standard_normal(2)]
+        z = [rng.standard_normal((2, 1)), rng.standard_normal((2, 1))]
         y0 = eval_explicit(base, z)
         doubled = OracleParams(
             2,
             (2, 2),
             2,
-            {k: (2.0 * v if k == (2, 2) else v) for k, v in base.tensors.items()},
+            {k: (2.0 * v if k == (0, 1) else v) for k, v in base.tensors.items()},
             base.bias,
         )
         extra_key_only = OracleParams(
             2,
             (2, 2),
             2,
-            {k: (v if k == (2, 2) else np.zeros_like(v)) for k, v in base.tensors.items()},
+            {k: (v if k == (0, 1) else np.zeros_like(v)) for k, v in base.tensors.items()},
             np.zeros(2),
         )
         np.testing.assert_allclose(
@@ -118,11 +117,14 @@ class TestEvalExplicit:
         # the checks and messages of the models' input contract
         params = ones_oracle(1, (2, 2))
         with pytest.raises(ValueError, match=r"expects 2 input\(s\), got 3"):
-            eval_explicit(params, [np.zeros(2)] * 3)
+            eval_explicit(params, [np.zeros((2, 1))] * 3)
         with pytest.raises(ValueError, match=r"input 1 has shape \(3, 1\)"):
-            eval_explicit(params, [np.zeros(2), np.zeros(3)])
-        with pytest.raises(ValueError, match="a mix of vectors and batches"):
-            eval_explicit(params, [np.zeros(2), np.zeros((2, 4))])
+            eval_explicit(params, [np.zeros((2, 1)), np.zeros((3, 1))])
+        # column batches are the one input form: a vector is not one column
+        with pytest.raises(
+            ValueError, match=r"input 0 has shape \(2,\), expected \(2, batch\)"
+        ):
+            eval_explicit(params, [np.zeros(2), np.zeros(2)])
 
 
 class TestOracleParamsValidation:
@@ -135,22 +137,34 @@ class TestOracleParamsValidation:
     def test_missing_term_key(self):
         good = ones_oracle(2, (2, 2))
         bad = dict(good.tensors)
-        del bad[(2, 2)]
-        with pytest.raises(ValueError, match=r"missing \[\(2, 2\)\]"):
+        del bad[(0, 1)]
+        with pytest.raises(ValueError, match=r"missing \[\(0, 1\)\]"):
             OracleParams(2, (2, 2), 1, bad, np.zeros(1))
 
     def test_wrong_tensor_shape(self):
         good = ones_oracle(2, (2, 3))
         bad = dict(good.tensors)
-        bad[(2, 2)] = np.ones((1, 3, 2))
-        with pytest.raises(ValueError, match=r"tensor \(2, 2\) has shape"):
+        bad[(0, 1)] = np.ones((1, 3, 2))
+        with pytest.raises(ValueError, match=r"tensor \(0, 1\) has shape"):
             OracleParams(2, (2, 3), 1, bad, np.zeros(1))
+
+    def test_leaves_the_callers_dict_untouched(self):
+        keys = expansion_term_keys(2, 2)
+        given = {key: np.ones(term_shape(key, (2, 3), 1), dtype=int) for key in keys[::-1]}
+        arrays = dict(given)
+        params = OracleParams(2, (2, 3), 1, given, np.zeros(1))
+        assert list(given) == keys[::-1]
+        assert all(given[key] is arrays[key] for key in keys)
+        assert all(a.dtype == int and (a == 1).all() for a in given.values())
+        # the params hold float64 copies, in summation order
+        assert params.tensors is not given and list(params.tensors) == keys
+        assert all(t.dtype == np.float64 for t in params.tensors.values())
 
 
 class TestScalarSecondOrder:
     def test_matches_tensor_form(self):
-        # (1, 1) and (2, 1) contract the second variable only, (2, 3) the
-        # first only, and the cross matrix (2, 2) has the first on its rows.
+        # (1,) and (1, 1) contract the second variable only, (0, 0) the
+        # first only, and the cross matrix (0, 1) has the first on its rows.
         rng = np.random.default_rng(23)
         d = 4
         lin_a, lin_b = rng.standard_normal(d), rng.standard_normal(d)
@@ -161,11 +175,11 @@ class TestScalarSecondOrder:
             input_dims=(d, d),
             output_dim=1,
             tensors={
-                (1, 1): lin_b[None, :],
-                (1, 2): lin_a[None, :],
-                (2, 1): quad_b[None, :, :],
-                (2, 2): cross[None, :, :],
-                (2, 3): quad_a[None, :, :],
+                (1,): lin_b[None, :],
+                (0,): lin_a[None, :],
+                (1, 1): quad_b[None, :, :],
+                (0, 1): cross[None, :, :],
+                (0, 0): quad_a[None, :, :],
             },
             bias=np.array([offset]),
         )
@@ -180,39 +194,49 @@ class TestScalarSecondOrder:
                 + z_a @ cross @ z_b
             )
             np.testing.assert_allclose(
-                eval_explicit(params, [z_a, z_b]), [direct], atol=1e-12
+                eval_explicit(params, [z_a[:, None], z_b[:, None]]), [[direct]], atol=1e-12
             )
 
 
-class TestModeVariables:
-    def test_runs_of_modes_per_variable(self):
-        assert mode_variables((1, 1)) == (1,)
-        assert mode_variables((1, 2)) == (0,)
-        assert mode_variables((3, 2)) == (0, 1, 1)
-        assert mode_variables((4, 2, 4)) == (0, 1, 1, 2)
-        assert mode_variables((2, 3, 3)) == (0, 0)
-        assert mode_variables((2, 1, 1)) == (2, 2)
-
+class TestTermKeys:
     def test_term_keys_are_pinned(self):
         # the order the oracle sums its terms in, and the order
         # make_poly_regression draws its target tensors in
-        assert expansion_term_keys(2, 2) == [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)]
+        assert expansion_term_keys(2, 2) == [(1,), (0,), (1, 1), (0, 1), (0, 0)]
         assert expansion_term_keys(2, 3) == [
-            (1, 1, 1), (1, 1, 2), (1, 2, 2),
-            (2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 2, 2), (2, 2, 3), (2, 3, 3),
+            (2,), (1,), (0,),
+            (2, 2), (1, 2), (1, 1), (0, 2), (0, 1), (0, 0),
         ]
+        assert expansion_term_keys(3, 2) == [
+            (1,), (0,), (1, 1), (0, 1), (0, 0),
+            (1, 1, 1), (0, 1, 1), (0, 0, 1), (0, 0, 0),
+        ]
+
+    @pytest.mark.parametrize("n_vars", [1, 2, 3])
+    def test_each_order_has_every_sorted_variable_tuple_once(self, n_vars):
+        keys = expansion_term_keys(4, n_vars)
+        assert [len(k) for k in keys] == sorted(len(k) for k in keys)
+        for n in range(1, 5):
+            got = [k for k in keys if len(k) == n]
+            want = {
+                k for k in itertools.product(range(n_vars), repeat=n)
+                if list(k) == sorted(k)
+            }
+            assert len(got) == len(set(got)) == len(want)
+            assert set(got) == want
+            assert expansion_term_keys(n, n_vars) == [k for k in keys if len(k) <= n]
 
 
 class TestCoupledTensorBuild:
     def test_all_ones_cross_tensor_is_two(self):
         oracle = build_coupled_tensors(ones_ccp(2, 2))
-        assert oracle.tensors[(2, 2)][0, 0, 0] == pytest.approx(2.0)
-        assert eval_explicit(oracle, [[2.0], [3.0]]) == pytest.approx(30.0)
+        assert oracle.tensors[(0, 1)][0, 0, 0] == pytest.approx(2.0)
+        assert eval_explicit(oracle, [[[2.0]], [[3.0]]]) == pytest.approx(30.0)
 
     def test_all_ones_order3_closed_form(self):
         # m = 2 + 3 at every level: 5 * (1 + 5) * (1 + 5)
         oracle = build_coupled_tensors(ones_ccp(3, 2))
-        assert eval_explicit(oracle, [[2.0], [3.0]]) == pytest.approx(180.0)
+        assert eval_explicit(oracle, [[[2.0]], [[3.0]]]) == pytest.approx(180.0)
 
     def test_matches_recursion_on_random_draws(self):
         rng = np.random.default_rng(24)
@@ -225,16 +249,16 @@ class TestCoupledTensorBuild:
             p.params["head_bias"] = rng.uniform(-1, 1, o)
             oracle = build_coupled_tensors(p)
             spec = ModelSpec(dims, [p])
-            draws = [[rng.uniform(-1, 1, d) for d in dims] for _ in range(3)]
+            draws = [[rng.uniform(-1, 1, (d, 1)) for d in dims] for _ in range(3)]
             for zs in draws:
                 np.testing.assert_allclose(
                     eval_explicit(oracle, zs), product_compose(spec, zs), atol=1e-9
                 )
             # the three draws as one column batch: each column as it was alone
-            batch = [np.stack(z, axis=1) for z in zip(*draws)]
+            batch = [np.hstack(z) for z in zip(*draws)]
             np.testing.assert_array_equal(
                 eval_explicit(oracle, batch),
-                np.stack([eval_explicit(oracle, zs) for zs in draws], axis=1),
+                np.hstack([eval_explicit(oracle, zs) for zs in draws]),
             )
 
     def test_rejects_higher_order(self):

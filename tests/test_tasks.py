@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cope.config import resolve
-from cope.oracle import eval_explicit, mode_variables
+from cope.oracle import eval_explicit
 from cope.rng import stream
 from cope.tasks import (
     CondPointCloud,
@@ -108,11 +108,10 @@ def test_one_hot_columns():
 
 def per_vector_contraction(params, zs):
     """One column's expansion: each tensor contracted last mode first by
-    `np.dot` on vectors, terms summed in ascending key order."""
+    `np.dot` on vectors, terms summed in key order."""
     out = params.bias.copy()
-    for key in sorted(params.tensors):
-        term = params.tensors[key]
-        for phi in reversed(mode_variables(key)):
+    for key, term in params.tensors.items():
+        for phi in reversed(key):
             z = zs[phi]
             term = np.dot(term.reshape(-1, z.shape[0]), z.reshape(-1, 1)).reshape(
                 term.shape[:-1]
@@ -125,8 +124,8 @@ def test_poly_regression_outputs_match_target():
     task = make_poly_regression(stream(0, "data"), 3, 2, 1, 32)
     assert task.outputs.shape == (1, 32)
     for j in range(5):
-        want = eval_explicit(task.target, [z[:, j] for z in task.inputs])
-        np.testing.assert_allclose(task.outputs[:, j], want, rtol=0, atol=0)
+        want = eval_explicit(task.target, [z[:, j : j + 1] for z in task.inputs])
+        np.testing.assert_allclose(task.outputs[:, j : j + 1], want, rtol=0, atol=0)
 
 
 @pytest.mark.parametrize("degree, in_dim, out_dim", [(1, 3, 2), (3, 2, 1), (4, 2, 2)])

@@ -17,6 +17,11 @@ from cope.training import (
 )
 
 
+def read_rows(path):
+    """The rows of the CSV file at `path`, read with the file closed after."""
+    return list(csv.reader(path.read_text().splitlines()))
+
+
 def _poly(seed=0, n=32):
     return make_poly_regression(stream(seed, "data"), 2, 2, 1, n)
 
@@ -55,7 +60,7 @@ def test_regression_loss_decreases_and_logs_every_step(tmp_path):
     r = train_regression(
         _spec(), task.inputs, task.outputs, ExperimentConfig(steps=40), tmp_path
     )
-    rows = list(csv.reader(open(r.metrics_path)))
+    rows = read_rows(r.metrics_path)
     assert rows[0] == ["step", "mse"]
     assert len(rows) == 41
     first, last = float(rows[1][1]), float(rows[-1][1])
@@ -80,7 +85,7 @@ def test_regression_divergence_aborts_with_trace(tmp_path):
             _spec(), task.inputs, task.outputs, ExperimentConfig(steps=10, lr=1e150),
             tmp_path,
         )
-    rows = list(csv.reader(open(tmp_path / "metrics.csv")))
+    rows = read_rows(tmp_path / "metrics.csv")
     assert len(rows) > 1  # the trace up to the failure is kept
 
 
@@ -128,14 +133,14 @@ def test_conditional_mmd_artifacts(tmp_path):
         steps=4, batch_size=8, seed=0, noise_dim=3, eval_samples=10, sweep_points=3
     )
     r = train_conditional(_cond_spec(), task, cfg, tmp_path)
-    rows = list(csv.reader(open(r.metrics_path)))
+    rows = read_rows(r.metrics_path)
     assert rows[0] == ["step", "loss", "mmd_class0", "mmd_class1",
                        "mmd_class2", "mmd_class3", "diversity"]
     assert len(rows) == 5
-    samples = list(csv.reader(open(tmp_path / "samples.csv")))
+    samples = read_rows(tmp_path / "samples.csv")
     assert samples[0] == ["class", "x0", "x1"]
     assert len(samples) == 1 + 4 * 10
-    sweep = list(csv.reader(open(tmp_path / "sweep.csv")))
+    sweep = read_rows(tmp_path / "sweep.csv")
     assert sweep[0] == ["class_a", "class_b", "t", "x0", "x1"]
     assert len(sweep) == 1 + 6 * 3  # 4 choose 2 pairs
     assert (tmp_path / "checkpoint.json").exists()
@@ -148,7 +153,7 @@ def test_conditional_gan_artifacts(tmp_path):
         sweep_points=3, disc_hidden=8,
     )
     r = train_conditional(_cond_spec(), task, cfg, tmp_path)
-    rows = list(csv.reader(open(r.metrics_path)))
+    rows = read_rows(r.metrics_path)
     assert rows[0] == ["step", "loss", "loss_disc", "diversity"]
     assert len(rows) == 4
     assert np.isfinite(float(rows[-1][1]))
@@ -183,7 +188,7 @@ def test_conditional_divergence_aborts_with_trace(tmp_path):
         cfg = ExperimentConfig(steps=5, batch_size=6, seed=0, noise_dim=3, lr=1e300)
         train_conditional(_cond_spec(), task, cfg, tmp_path)
     assert info.value.step == 2
-    rows = list(csv.reader(open(tmp_path / "metrics.csv")))
+    rows = read_rows(tmp_path / "metrics.csv")
     assert [row[0] for row in rows[1:]] == ["1", "2"]  # the trace is kept
     assert not (tmp_path / "checkpoint.json").exists()
 
