@@ -21,11 +21,13 @@ FIELDS = ("seed", "suite", "verdict", "trials", "max_deviation", "tolerance", "w
 
 
 def seed_range(arg: str) -> range:
-    """`N` or `A-B`, both ends included."""
+    """`N` or `A-B`, both ends included, of the seeds `cope` takes: [0, 2**64)."""
     lo, _, hi = arg.partition("-")
     seeds = range(int(lo), int(hi or lo) + 1)
     if not seeds:
         raise argparse.ArgumentTypeError(f"empty seed range {arg!r}")
+    if seeds[-1] >= 2**64:
+        raise argparse.ArgumentTypeError(f"seed range {arg!r} is not within [0, 2**64)")
     return seeds
 
 

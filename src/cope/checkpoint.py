@@ -1,5 +1,6 @@
-"""JSON model checkpoints: each block's kind plus its named arrays with
-shape headers; the names carry the block's order, inputs and sharing.
+"""JSON model checkpoints: the output activation and each block's kind
+plus its named arrays with shape headers; the names carry the block's
+order, inputs and sharing, and block 0's factors the model's variables.
 Floats are written with Python's shortest round-trip repr (at most 17
 significant digits), so a save/load cycle is bit exact. A malformed
 document raises ValueError naming the field."""
@@ -15,7 +16,7 @@ import numpy as np
 from .models import ChainBlock, ModelSpec
 
 FORMAT_NAME = "cope-model"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 def _field(obj, key, types, where):
@@ -70,7 +71,6 @@ def save_model(path, spec: ModelSpec) -> None:
     doc = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "var_dims": list(spec.var_dims),
         "output_activation": spec.output_activation,
         "blocks": [
             {
@@ -100,12 +100,8 @@ def load_model(path) -> ModelSpec:
         _read_block(b, f"{where} block {i}")
         for i, b in enumerate(_field(doc, "blocks", (list,), where))
     ]
-    fields = (
-        tuple(_ints(doc, "var_dims", where)),
-        blocks,
-        _field(doc, "output_activation", (str,), where),
-    )
+    activation = _field(doc, "output_activation", (str,), where)
     try:
-        return ModelSpec(*fields)
+        return ModelSpec(blocks, activation)
     except ValueError as e:
         raise ValueError(f"{where}: {e}") from None

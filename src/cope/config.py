@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .oracle import MAX_DIM, MAX_ORDER
+from .oracle import MAX_DIM, MAX_ORDER, MAX_PROBE_ORDER
 from .tasks import make_cond_point_cloud
 from .verify import SUITES
 
@@ -108,9 +108,12 @@ _ENUMS = {
     "loss": ("mmd", "gan"),
 }
 
-# the numeric fields that need not be positive, each with its range [lo, hi);
-# every other number must be positive
-_RANGES = {"seed": (0, 2**64), "beta1": (0, 1), "beta2": (0, 1), "sweep_points": (2, math.inf)}
+# the numeric fields with a range [lo, hi) of their own; every other number
+# must be positive
+_RANGES = {
+    "seed": (0, 2**64), "beta1": (0, 1), "beta2": (0, 1), "sweep_points": (2, math.inf),
+    "probe_max_order": (1, MAX_PROBE_ORDER + 1),
+}
 
 # a declared type: the Python types of the values it takes, and their name
 _KINDS = {

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import copy
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,8 +40,9 @@ class ChainBlock:
     order-n factor of input phi, then (ncp and additive only) `state{n}`,
     `off{n}` and `seed{n}`, then `head` and `head_bias`. The names say the
     rest: the order is the count of `in{n}.v0`, the inputs the count of
-    `in1.v{phi}`, and a block of order >= 2 over two or more inputs with no
-    `in2.v1` shares one conditional factor, `in1.v1`, across its orders.
+    `in1.v{phi}` and their widths its first axis, and a block of order
+    >= 2 over two or more inputs with no `in2.v1` shares one conditional
+    factor, `in1.v1`, across its orders.
     """
 
     kind: str
@@ -66,12 +67,17 @@ class ChainBlock:
     @property
     def input_dims(self):
         return tuple(
-            self.params[f"in1.v{phi}"].shape[0] for phi in range(self.n_variables)
+            _dim(self.params, f"in1.v{phi}", 0) for phi in range(self.n_variables)
         )
 
     def factor(self, n, phi):
         """Order-n factor of input phi (both counted as in the names)."""
         return self.params[_factor_name(self.params, n, phi)]
+
+
+def _dim(params, name, axis):
+    """Axis `axis` of `params[name]`; 0 where absent or short of dimensions."""
+    return (*np.shape(params.get(name, ())), 0, 0)[axis]
 
 
 def _factor_name(params, n, phi):
@@ -103,25 +109,22 @@ def _check_block(blk: ChainBlock, i, dims):
     fit its kind, order (the number of `in{n}.v0` factors), inputs and
     sharing (no `in2.v1`, which changes no name at order 1 or over one
     input). `dims` are the chain's inputs there: block 0 reads every
-    variable; a later block reads the previous output, then every
-    conditional variable or none."""
+    variable, so its own factors say how wide each is; a later block reads
+    the previous output, then every conditional variable or none."""
     who = f"block {i}"
     if blk.kind not in _BLOCK_KINDS:
         raise ValueError(f"{who}: unknown block kind '{blk.kind}'")
     order, n = blk.order, blk.n_variables
     if order < 1:
         raise ValueError(f"{who} needs at least one order")
-    if n != len(dims) and not (i and n == 1):
+    if n not in (len(dims), 1):
         raise ValueError(
-            f"{who} reads {n} input(s), expected {len(dims)}" + (" or 1" if i else "")
+            f"{who} reads {n} input(s), expected {len(dims)}"
+            + (" or 1" if len(dims) > 1 else "")
         )
     p = blk.params
-    # 0 where absent or short of dimensions; read only once the names and
-    # dimension counts have passed
-    rank, width, out_dim = (
-        (*np.shape(p.get(name, ())), 0, 0)[axis]
-        for name, axis in (("in1.v0", 1), ("seed1", 0), ("head", 0))
-    )
+    # compared only once the names and dimension counts have passed
+    rank, width, out_dim = _dim(p, "in1.v0", 1), _dim(p, "seed1", 0), _dim(p, "head", 0)
     share = "in2.v1" not in p
     want = _layout(blk.kind, order, dims[:n], rank, width, out_dim, share)
     if set(want) != set(p):
@@ -316,19 +319,19 @@ def spade_forward_cols(blk: ChainBlock, z_noise, z_cond):
 
 @dataclass
 class ModelSpec:
-    """Chain of polynomial blocks; degrees multiply along the chain."""
+    """Chain of polynomial blocks; degrees multiply along the chain. Its
+    input variables are block 0's, which reads every one of them."""
 
-    var_dims: tuple[int, ...]
     blocks: list[ChainBlock]
     output_activation: str = "none"
+    var_dims: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        self.var_dims = tuple(int(d) for d in self.var_dims)
         if not self.blocks:
             raise ValueError("ModelSpec needs at least one block")
         if self.output_activation not in ("none", "tanh"):
             raise ValueError(f"unknown output_activation '{self.output_activation}'")
-        dims = self.var_dims
+        self.var_dims = dims = self.blocks[0].input_dims
         for i, blk in enumerate(self.blocks):
             _check_block(blk, i, dims)
             dims = (blk.out_dim, *self.var_dims[1:])
@@ -416,7 +419,7 @@ def init_chain(
         width = out_dim if i == len(block_orders) - 1 else hidden_dim
         blocks.append(init_block(rng, kind, dims, rank, width, order, share_conditional))
         dims = (width, *var_dims[1:]) if reconsume_conditional else (width,)
-    return ModelSpec(var_dims=var_dims, blocks=blocks, output_activation=output_activation)
+    return ModelSpec(blocks, output_activation)
 
 
 def spade_config(blk: ChainBlock) -> ChainBlock:

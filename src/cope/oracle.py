@@ -18,6 +18,10 @@ from .tensors import khatri_rao_chain, mode1_fold
 
 MAX_DIM = 8
 MAX_ORDER = 4
+# degree_probe's rounding floor at level k, 256 * 2^k * eps * max|g| =
+# 2^(k-44) * max|g|, reaches the values themselves from level 44 on; the
+# probe reads levels up to max_order + 1, so max_order stops at 42
+MAX_PROBE_ORDER = 42
 
 
 def expansion_term_keys(order: int, n_variables: int):
@@ -174,7 +178,7 @@ def degree_probe(f, base, direction, max_order: int, exact=None) -> int:
     blocks have leading coefficients far below the value scale, and the
     floor keeps such small-but-real levels from being read as noise.
     Returns max_order when no level vanishes (degree at least max_order)
-    and 0 for the zero function.
+    and 0 for the zero function. `max_order` lies in [0, MAX_PROBE_ORDER].
 
     `f` is called once, on every node at once: it gets a `(dim, nodes)`
     matrix whose column t is base + t * direction, and returns an
@@ -193,8 +197,8 @@ def degree_probe(f, base, direction, max_order: int, exact=None) -> int:
         )
     if base.ndim != 1:
         raise ValueError(f"base must be a vector, got shape {base.shape}")
-    if max_order < 0:
-        raise ValueError("max_order must be nonnegative")
+    if not 0 <= max_order <= MAX_PROBE_ORDER:
+        raise ValueError(f"max_order must be in [0, {MAX_PROBE_ORDER}], got {max_order}")
     values = _node_values(f, base, direction, max_order + 2)
     if not np.isfinite(values).all():
         raise ValueError("degree probe hit a non-finite value")

@@ -108,11 +108,6 @@ def _suite(name: str, stream_index: int, tolerance: float):
     return register
 
 
-def _alone(blk: ChainBlock) -> ModelSpec:
-    """One-block model over the block's own input variables."""
-    return ModelSpec(blk.input_dims, [blk])
-
-
 @_suite("claim1-equivalence", 0, 1e-9)
 def run_claim1(rng, worst, draws: int = 100, pairs: int = 20):
     """Coupled ccp blocks of every order over two or three variables equal
@@ -128,7 +123,7 @@ def run_claim1(rng, worst, draws: int = 100, pairs: int = 20):
         # row j holds pair j's variables in turn, as drawn one pair at a time
         x = rng.uniform(-1, 1, (pairs, sum(dims)))
         zs = np.split(x.T, np.cumsum(dims)[:-1])
-        diff = eval_explicit(oracle, zs) - product_compose(_alone(p), zs)
+        diff = eval_explicit(oracle, zs) - product_compose(ModelSpec([p]), zs)
         for j, dev in enumerate(np.max(np.abs(diff), axis=0)):
             worst.add(dev, draw=i, pair=j, order=order, dims=dims)
 
@@ -190,7 +185,7 @@ def run_degree_law(rng, worst, instances: int = 20):
             k = int(rng.integers(2, 6))
             o = int(rng.integers(1, 4))
             for kind in ("ccp", "ncp"):
-                spec = _alone(init_block(rng, kind, (d1, d2), k, o, order))
+                spec = ModelSpec([init_block(rng, kind, (d1, d2), k, o, order)])
                 check(f"{kind} order {order} [{i}]", spec, order)
     for block_orders in ((2, 2), (2, 2, 2)):
         expected = int(np.prod(block_orders))
@@ -223,13 +218,13 @@ def run_reductions(rng, worst, instances: int = 50):
         # multiplicative-skip recursion with a silent second input: the
         # one-variable ccp block, which is the Pi-net recursion
         p = init_block(rng, "ccp", (d1, d2), k, o, order)
-        two, one = _alone(p), _alone(_silence_last_input(p))
+        two, one = ModelSpec([p]), ModelSpec([_silence_last_input(p)])
         # three-variable recursion with a silent third input
         p3 = init_block(rng, "ccp", (d1, d2, d2), k, o, order)
-        three, first_two = _alone(p3), _alone(_silence_last_input(p3))
+        three, first_two = ModelSpec([p3]), ModelSpec([_silence_last_input(p3)])
         # gated recursion pinned to the conditioning-by-gating layout
         g = init_block(rng, "ncp", (d1, d2), k, o, order)
-        cfg = _alone(spade_config(g))
+        cfg = ModelSpec([spade_config(g)])
         # column j holds draw j's inputs, as drawn one draw at a time
         x = rng.uniform(-1, 1, (3, d1 + d2))
         z1, z2 = x[:, :d1].T, x[:, d1:].T
@@ -255,9 +250,9 @@ def run_affineness(rng, worst, rays: int = 50):
     curved = 0
     for r in range(rays):
         order = int(rng.integers(2, 4))
-        add = _alone(init_block(rng, "additive", (d1, d2), k, o, order))
-        lin = _alone(init_concat_linear(rng, (d1, d2), o))
-        ccp = _alone(init_block(rng, "ccp", (d1, d2), k, o, order))
+        add = ModelSpec([init_block(rng, "additive", (d1, d2), k, o, order)])
+        lin = ModelSpec([init_concat_linear(rng, (d1, d2), o)])
+        ccp = ModelSpec([init_block(rng, "ccp", (d1, d2), k, o, order)])
         base = rng.uniform(-1, 1, d1 + d2)
         direction = rng.uniform(-1, 1, d1 + d2)
         # the ray's points base + t * direction, t = 0, 1, 2, as columns

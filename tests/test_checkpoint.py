@@ -38,18 +38,23 @@ def test_round_trip_bit_exact(tmp_path):
 
 @pytest.mark.parametrize(
     "share, reconsume, var_dims",
-    [(True, True, (3, 2)), (False, False, (3, 2)), (False, True, (3,))],
+    [
+        (True, True, (3, 2)), (False, False, (3, 2)), (False, True, (3,)),
+        (True, True, (3, 2, 2)), (False, False, (3, 2, 2)),
+    ],
 )
 def test_each_wiring_round_trips_from_its_names(tmp_path, share, reconsume, var_dims):
     # a block is stored as its kind and its arrays; the names carry its
-    # inputs and its sharing
+    # inputs and its sharing, and block 0's factors the model's variables
     spec = _chain(share=share, reconsume=reconsume, var_dims=var_dims)
     path = tmp_path / "m.json"
     save_model(path, spec)
     doc = json.loads(path.read_text())
-    assert doc["version"] == 4
+    assert doc["version"] == 5
+    assert set(doc) == {"format", "version", "output_activation", "blocks"}
     assert all(set(blk) == {"kind", "params"} for blk in doc["blocks"])
     back = load_model(path)
+    assert back.var_dims == spec.var_dims == var_dims
     assert [list(b.params) for b in back.blocks] == [list(b.params) for b in spec.blocks]
     a, b = model_parameters(spec), model_parameters(back)
     for name in a:
@@ -131,8 +136,9 @@ def test_rejects_newer_version(tmp_path):
 
 
 def test_rejects_version_1_document(tmp_path):
-    # and version 2, whose models could center between blocks, and version
-    # 3, whose blocks also stored their wiring and sharing as fields
+    # and version 2, whose models could center between blocks, version 3,
+    # whose blocks also stored their wiring and sharing as fields, and
+    # version 4, which also stored the model's input dims
     spec = _chain()
     path = tmp_path / "m.json"
     save_model(path, spec)
@@ -144,9 +150,10 @@ def test_rejects_version_1_document(tmp_path):
     ]
     for version, extra in (
         (1, {}), (2, {"centering": "batch_mean"}), (3, {"blocks": v3_blocks}),
+        (4, {}),
     ):
-        _write(path, {**doc, "version": version, **extra})
-        with pytest.raises(ValueError, match=f"version {version} is not 4"):
+        _write(path, {**doc, "var_dims": [3, 2], "version": version, **extra})
+        with pytest.raises(ValueError, match=f"version {version} is not 5"):
             load_model(path)
 
 
@@ -182,19 +189,24 @@ def _write(path, doc):
 @pytest.mark.parametrize(
     "where,value,match",
     [
-        (("var_dims",), DELETE, "missing field 'var_dims'"),
-        (("var_dims",), [3, "2"], "field 'var_dims' must list non-negative integers"),
+        # block 0's factors say the model's variables, and are still checked
+        (("blocks", 0, "params", "in1.v0"), DELETE,
+         r"block 0: missing parameter\(s\) \['in1.v0'\]"),
+        (("blocks", 0, "params", "in1.v0"), {"shape": [], "data": [1.0]},
+         r"block 0: parameter 'in1.v0' has shape \(\), expected 2 dimension"),
         (("blocks",), {}, "field 'blocks' is dict, expected list"),
         (("blocks", 0), [], "block 0: expected an object, got list"),
         (("output_activation",), DELETE, "missing field 'output_activation'"),
         (("output_activation",), "spam", "unknown output_activation 'spam'"),
         (("blocks", 0, "kind"), "spam", "block 0: unknown block kind 'spam'"),
         (("blocks", 0, "kind"), 3, "field 'kind' is int, expected str"),
-        (("var_dims",), [3, 2, 2], r"block 0 reads 2 input\(s\), expected 3$"),
+        (("blocks", 0, "params", "in1.v0"), {"shape": [3], "data": [1.0] * 3},
+         r"block 0: parameter 'in1.v0' has shape \(3,\), expected 2 dimension"),
         (("blocks", 1, "params", "in1.v2"), {"shape": [2, 3], "data": [0] * 6},
          r"block 1 reads 3 input\(s\), expected 2 or 1$"),
+        # a block 0 without its conditional factor reads one variable
         (("blocks", 0, "params", "in1.v1"), DELETE,
-         r"block 0 reads 1 input\(s\), expected 2$"),
+         r"block 1 reads 2 input\(s\), expected 1$"),
         (("blocks", 1, "params"), DELETE, "block 1: missing field 'params'"),
         (("blocks", 0, "params", "head"), DELETE, r"block 0: missing parameter\(s\) \['head'\]"),
         (("blocks", 0, "params", "state2"), DELETE, r"missing parameter\(s\) \['state2'\]"),

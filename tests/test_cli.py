@@ -269,6 +269,16 @@ def test_degree_report_reads_a_deep_chain_exactly(tmp_path):
     assert report["degrees"] == {"joint": 8, "input0": 8, "input1": 8}
 
 
+def test_degree_report_past_the_probe_cap_exits_2_and_writes_nothing(tmp_path, capsys):
+    # a table this deep is never built: the config is rejected first
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"probe_max_order": 43}))
+    out = tmp_path / "run"
+    assert main(["degree-report", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert "field 'probe_max_order'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cope_out_env_is_default_root(tmp_path, monkeypatch):
     monkeypatch.setenv("COPE_OUT", str(tmp_path / "root"))
     cfg = resolve({}, {"command": "verify", "seed": 3})

@@ -52,6 +52,12 @@ def test_bad_block_orders_rejected():
         resolve({"block_orders": 2}, {})
 
 
+def test_probe_max_order_is_capped_where_the_probe_floor_meets_the_values():
+    assert resolve({"probe_max_order": 42}, {}).probe_max_order == 42
+    with pytest.raises(ConfigError, match=r"field 'probe_max_order' must be in \[1, 43\)"):
+        resolve({"probe_max_order": 43}, {})
+
+
 def test_overrides_beat_file_values():
     cfg = resolve({"seed": 7, "rank": 3}, {"seed": 9})
     assert cfg.seed == 9

@@ -40,12 +40,8 @@ def ones_block(kind, order, n_vars=2, d=1, k=1, o=1, width=1):
     return ChainBlock(kind, params)
 
 
-def alone(blk):
-    return ModelSpec(blk.input_dims, [blk])
-
-
 def run(blk, inputs):
-    return product_compose(alone(blk), inputs)
+    return product_compose(ModelSpec([blk]), inputs)
 
 
 def col(*values):
@@ -99,7 +95,7 @@ class TestBatchSemantics:
         # the diagnostics batch their one-column forwards on the chains:
         # each column of a batch is that column run alone
         rng = np.random.default_rng(30)
-        specs = [alone(init_block(rng, "ccp", (3, 4), 4, 2, order=3))] + [
+        specs = [ModelSpec([init_block(rng, "ccp", (3, 4), 4, 2, order=3)])] + [
             init_chain(
                 rng, (3, 4), (2, 2), rank=3, hidden_dim=3, out_dim=2, kind=kind,
                 output_activation="tanh",
@@ -118,7 +114,7 @@ class TestBatchSemantics:
                 )
 
     def test_arity_and_shape_errors(self):
-        spec = alone(ones_block("ccp", 1))
+        spec = ModelSpec([ones_block("ccp", 1)])
         with pytest.raises(ValueError, match="expects 2 input"):
             product_compose(spec, [col(1.0)])
         with pytest.raises(ValueError, match=r"input 1 has shape \(2, 1\)"):
@@ -128,7 +124,7 @@ class TestBatchSemantics:
 
     def test_vectors_are_rejected(self):
         # column batches are the one input form: a vector is not one column
-        spec = alone(ones_block("ccp", 1, d=2))
+        spec = ModelSpec([ones_block("ccp", 1, d=2)])
         with pytest.raises(
             ValueError,
             match=r"product_compose input 0 has shape \(2,\), expected \(2, batch\)",
@@ -136,7 +132,7 @@ class TestBatchSemantics:
             product_compose(spec, [np.ones(2), np.ones(2)])
 
     def test_array_input_beside_a_tape_input_is_checked_as_a_batch(self):
-        spec = alone(ones_block("ccp", 1, d=2))
+        spec = ModelSpec([ones_block("ccp", 1, d=2)])
         tape = Tape()
         z = tape.constant(col(1.0, 2.0))
         out = product_compose(lift_model(tape, spec), [z, [[3.0], [4.0]]])
@@ -274,7 +270,7 @@ class TestSharing:
         p = ones_block("ccp", 3, d=2, k=3)
         del p.params["in2.v1"]
         with pytest.raises(ValueError, match=r"parameter\(s\) \[\], unexpected \['in3.v1'\]"):
-            alone(p)
+            ModelSpec([p])
 
     def test_sharing_is_identity_when_factors_already_equal(self):
         rng = np.random.default_rng(35)
@@ -308,7 +304,7 @@ class TestSharing:
         assert list(shared.params) == list(free.params)
         for name, a in free.params.items():
             np.testing.assert_array_equal(shared.params[name], a)
-        assert shared.n_variables == 1 and alone(shared).var_dims == (3,)
+        assert shared.n_variables == 1 and ModelSpec([shared]).var_dims == (3,)
 
 
 def _drop(params, *names):
@@ -334,7 +330,23 @@ class TestBlockValidation:
         p = init_block(np.random.default_rng(44), "ncp", (3, 2), 4, 2, order=2)
         blk = ChainBlock(kind, edit(dict(p.params)))
         with pytest.raises(ValueError, match=f"^block 0.*{match}"):
-            ModelSpec((3, 2), [blk])
+            ModelSpec([blk])
+
+
+class TestInputDims:
+    @pytest.mark.parametrize(
+        "kind,dims,share",
+        [
+            ("ccp", (3, 2), False),
+            ("ncp", (3, 2), False),
+            ("additive", (3, 2, 4), False),
+            ("ncp", (3, 2), True),
+            ("ccp", (5,), False),
+        ],
+    )
+    def test_a_model_reads_its_variables_from_block_0(self, kind, dims, share):
+        blk = init_block(np.random.default_rng(50), kind, dims, 4, 2, 3, share)
+        assert ModelSpec([blk]).var_dims == blk.input_dims == dims
 
 
 class TestChains:
@@ -371,17 +383,19 @@ class TestChains:
         rng = np.random.default_rng(40)
         good = init_chain(rng, (3, 2), (2, 2), rank=4, hidden_dim=5, out_dim=2)
         first, second = good.blocks
+        # without its conditional factors block 0 makes a one-variable
+        # model, whose block 1 has no conditional variable to read again
         alone_first = ChainBlock("ccp", _drop(first.params, "in1.v1", "in2.v1"))
-        with pytest.raises(ValueError, match=r"^block 0 reads 1 input\(s\), expected 2$"):
-            ModelSpec((3, 2), [alone_first, second])
+        with pytest.raises(ValueError, match=r"^block 1 reads 2 input\(s\), expected 1$"):
+            ModelSpec([alone_first, second])
         # block 1 reads block 0's 5 outputs, not the 3 of variable 0
         with pytest.raises(
             ValueError, match=r"block 1: parameter 'in1.v0' has shape \(3, 4\), "
         ):
-            ModelSpec((3, 2), [first, first])
+            ModelSpec([first, first])
         # a later block may read the previous output alone
         without = ChainBlock("ccp", _drop(second.params, "in1.v1", "in2.v1"))
-        ModelSpec((3, 2), [first, without])
+        ModelSpec([first, without])
 
     def test_a_later_block_reads_every_conditional_variable_or_none(self):
         good = init_chain(
@@ -392,7 +406,14 @@ class TestChains:
         with pytest.raises(
             ValueError, match=r"^block 1 reads 2 input\(s\), expected 3 or 1$"
         ):
-            ModelSpec((3, 2, 2), [first, two_of_three])
+            ModelSpec([first, two_of_three])
+
+    def test_a_one_variable_chain_expects_one_input(self):
+        rng = np.random.default_rng(49)
+        first, _ = init_chain(rng, (3,), (2, 2), rank=4, hidden_dim=5, out_dim=2).blocks
+        two_inputs = init_block(rng, "ccp", (5, 2), 4, 2, order=2)
+        with pytest.raises(ValueError, match=r"^block 1 reads 2 input\(s\), expected 1$"):
+            ModelSpec([first, two_inputs])
 
     def test_blocks_without_reconsume(self):
         rng = np.random.default_rng(41)

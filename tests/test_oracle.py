@@ -6,6 +6,7 @@ import pytest
 
 from cope.models import ChainBlock, ModelSpec, init_block, product_compose
 from cope.oracle import (
+    MAX_PROBE_ORDER,
     OracleParams,
     build_coupled_tensors,
     degree_probe,
@@ -248,7 +249,7 @@ class TestCoupledTensorBuild:
             p = init_block(rng, "ccp", dims, k, o, order, share_conditional=share)
             p.params["head_bias"] = rng.uniform(-1, 1, o)
             oracle = build_coupled_tensors(p)
-            spec = ModelSpec(dims, [p])
+            spec = ModelSpec([p])
             draws = [[rng.uniform(-1, 1, (d, 1)) for d in dims] for _ in range(3)]
             for zs in draws:
                 np.testing.assert_allclose(
@@ -327,6 +328,14 @@ class TestDegreeProbe:
         c = 1.0
         assert degree_probe(f, np.zeros(1), np.ones(1), 7, exact=exact) == 5
         assert calls == {"f": 1, "exact": 0}
+
+    def test_max_order_outside_its_range_is_rejected_before_f_runs(self):
+        def f(x):
+            raise AssertionError("f ran")
+
+        for max_order in (-1, MAX_PROBE_ORDER + 1):
+            with pytest.raises(ValueError, match=r"max_order must be in \[0, 42\]"):
+                degree_probe(f, np.zeros(1), np.ones(1), max_order)
 
     def test_f_must_return_one_column_per_node(self):
         with pytest.raises(ValueError, match=r"one column per node, \(out, 4\)"):

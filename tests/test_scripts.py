@@ -99,6 +99,15 @@ def test_verify_sweep_out_under_a_file_exits_1_without_traceback(tmp_path):
     assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("seeds", [str(2**64), f"0-{2**64}"])
+def test_verify_sweep_seed_past_u64_exits_2_and_writes_nothing(tmp_path, seeds):
+    out = tmp_path / "sweep"
+    done = _script("verify_sweep.py", seeds, "--out", out)
+    assert done.returncode == 2
+    assert "is not within [0, 2**64)" in done.stderr
+    assert not out.exists()
+
+
 def test_degree_report_runs_its_preset(tmp_path):
     done = _script("degree_report.py", "--orders", 2, 3, "--out", tmp_path)
     assert done.returncode == 0, done.stderr
