@@ -313,13 +313,13 @@ def finite_diff_check(f, model, h: float = 1e-5) -> tuple[float, str]:
     floor = floor * abs(out.value.item()) / h
 
     work = with_parameters(model, model_parameters(model))
-    flat, layout = flatten_parameters(work)
-    shapes = {name: np.shape(a) for name, a in model_parameters(work).items()}
-    a_flat = np.concatenate([np.ravel(analytic[name]) for name in layout])
+    flat, views = flatten_parameters(work)
+    a_flat = np.concatenate([np.ravel(analytic[name]) for name in views])
+    names, ends = list(views), np.cumsum([v.size for v in views.values()])
 
     def label(i):
-        name, start = next((n, a) for n, (a, b) in layout.items() if i < b)
-        return f"{name}[{i - start}]"
+        k = int(np.searchsorted(ends, i, side="right"))
+        return f"{names[k]}[{i - int(ends[k]) + views[names[k]].size}]"
 
     def central(coords, step):
         """Central differences at `coords`, from one call of f on their
@@ -329,8 +329,8 @@ def finite_diff_check(f, model, h: float = 1e-5) -> tuple[float, str]:
         rows[np.arange(m), coords] = flat[coords] + step
         rows[np.arange(m, 2 * m), coords] = flat[coords] - step
         copies = with_parameters(model, {
-            name: rows[:, a:b].reshape((2 * m, *shapes[name]))
-            for name, (a, b) in layout.items()
+            name: cols.reshape((2 * m, *views[name].shape))
+            for name, cols in zip(names, np.split(rows, ends[:-1], axis=1))
         })
         vals = np.asarray(f(copies), dtype=np.float64)
         if vals.size != 2 * m:

@@ -53,7 +53,10 @@ def _decode_array(obj, where: str) -> np.ndarray:
         raise ValueError(f"{where}: field 'data' must list numbers")
     if len(data) != math.prod(shape):
         raise ValueError(f"{where}: {len(data)} values do not fill shape {shape}")
-    return np.asarray(data, dtype=np.float64).reshape(shape)
+    try:
+        return np.asarray(data, dtype=np.float64).reshape(shape)
+    except OverflowError as e:  # an integer too large for a float
+        raise ValueError(f"{where}: {e}") from None
 
 
 def _read_block(obj, where: str) -> ChainBlock:
@@ -84,7 +87,10 @@ def save_model(path, spec: ModelSpec) -> None:
 
 
 def load_model(path) -> ModelSpec:
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as e:  # undecodable bytes and over-long integers too
+        raise ValueError(f"{path} is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected an object, got {type(doc).__name__}")
     if doc.get("format") != FORMAT_NAME:

@@ -493,18 +493,18 @@ def model_parameters(model) -> dict:
 def flatten_parameters(model):
     """Copy every parameter of `model` into one float64 vector, in the order
     of `model_parameters`, and rebind the model's own dicts in place to
-    reshaped views of it. Returns the vector and each name's (start, stop)."""
+    reshaped views of it. Returns the vector and those views, named as by
+    `model_parameters`."""
     flat = np.concatenate(
         [np.ravel(a) for a in model_parameters(model).values()], dtype=np.float64
     )
-    layout, start = {}, 0
+    views, start = {}, 0
     for prefix, params in _parameter_dicts(model):
         for name, arr in params.items():
             stop = start + np.size(arr)
-            params[name] = flat[start:stop].reshape(np.shape(arr))
-            layout[prefix + name] = (start, stop)
+            params[name] = views[prefix + name] = flat[start:stop].reshape(np.shape(arr))
             start = stop
-    return flat, layout
+    return flat, views
 
 
 def with_parameters(model, values: dict):

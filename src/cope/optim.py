@@ -14,7 +14,7 @@ class AdamState:
     beta2: float
     eps: float
     flat: np.ndarray  # every parameter; the model's arrays are views of it
-    layout: dict  # parameter name -> (start, stop) in `flat`
+    params: dict  # name -> the model's own array, a reshaped view of `flat`
     first_moment: np.ndarray
     second_moment: np.ndarray
     grad: np.ndarray  # the gathered gradients, rewritten every step
@@ -26,22 +26,21 @@ def adam_init(model, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8) -> AdamState:
     arrays are rebound in place to views of one vector."""
     if not 0.0 < lr:
         raise ValueError(f"lr must be positive, got {lr}")
-    flat, layout = flatten_parameters(model)
+    flat, views = flatten_parameters(model)
     hyper = (float(lr), float(beta1), float(beta2), float(eps))
-    return AdamState(*hyper, flat, layout, *np.zeros((3, flat.size)))
+    return AdamState(*hyper, flat, views, *np.zeros((3, flat.size)))
 
 
-def adam_step(state: AdamState, params: dict, grads: dict) -> None:
-    """One bias-corrected update of every parameter in one pass; `params`
-    are the model's arrays by name, as `model_parameters` gives them."""
-    for name, p in params.items():
+def adam_step(state: AdamState, grads: dict) -> None:
+    """One bias-corrected update of every parameter in one pass; `grads`
+    holds a gradient of each parameter's shape, named as in `state.params`."""
+    for name, p in state.params.items():
         if name not in grads:
             raise KeyError(f"no gradient supplied for parameter '{name}'")
         g = grads[name]
         if g.shape != p.shape:
             raise ValueError(f"gradient for '{name}' has shape {g.shape}, expected {p.shape}")
-        start, stop = state.layout[name]
-        state.grad[start:stop] = g.reshape(-1)
+    np.concatenate([grads[name].reshape(-1) for name in state.params], out=state.grad)
     state.step += 1
     m, v, g, t = state.first_moment, state.second_moment, state.grad, state.step
     m *= state.beta1

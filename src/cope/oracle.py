@@ -9,11 +9,11 @@ grows as out_dim * d^order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import ChainBlock, _prep_inputs
+from .models import ChainBlock, _dim, _prep_inputs
 from .tensors import khatri_rao_chain, mode1_fold
 
 MAX_DIM = 8
@@ -56,39 +56,45 @@ def _check_limits(n_variables, order, dims, ranks=()):
 
 @dataclass
 class OracleParams:
-    """Full coefficient tensors of one expansion, keyed as `expansion_term_keys`."""
+    """Full coefficient tensors of one expansion, keyed as `expansion_term_keys`.
+    The order is the longest key, the variables every index the keys name;
+    input phi is as wide as axis 1 of `tensors[(phi,)]`, the output as `bias`."""
 
-    order: int
-    input_dims: tuple[int, ...]
-    output_dim: int
     tensors: dict
     bias: np.ndarray
+    order: int = field(init=False)
+    input_dims: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        self.input_dims = tuple(int(d) for d in self.input_dims)
-        _check_limits(
-            len(self.input_dims), self.order, self.input_dims + (self.output_dim,)
-        )
-        keys = expansion_term_keys(self.order, len(self.input_dims))
+        tuples = [key for key in self.tensors if isinstance(key, tuple)]
+        self.order = max(map(len, tuples), default=0)
+        n_vars = 1 + max((i for i in set().union(*tuples) if isinstance(i, int)), default=-1)
+        # before the expected keys are built, whose count grows as order^n_vars
+        _check_limits(n_vars, self.order, ())
+        keys = expansion_term_keys(self.order, n_vars)
         expected, got = set(keys), set(self.tensors)
         if got != expected:
             raise ValueError(
                 f"term keys mismatch: missing {sorted(expected - got)}, "
-                f"unexpected {sorted(got - expected)}"
+                f"unexpected {sorted(got - expected, key=repr)}"
             )
         # a new dict, in summation order: the caller's is left as it was
         self.tensors = {
             key: np.asarray(self.tensors[key], dtype=np.float64) for key in keys
         }
+        self.bias = np.asarray(self.bias, dtype=np.float64)
+        if self.bias.ndim != 1:
+            raise ValueError(f"bias must be a vector, got shape {self.bias.shape}")
+        dims = self.input_dims = tuple(_dim(self.tensors, (phi,), 1) for phi in range(n_vars))
+        _check_limits(n_vars, self.order, dims + (self.output_dim,))
         for key, t in self.tensors.items():
-            want = (self.output_dim,) + tuple(self.input_dims[phi] for phi in key)
+            want = (self.output_dim, *map(dims.__getitem__, key))
             if t.shape != want:
                 raise ValueError(f"tensor {key} has shape {t.shape}, expected {want}")
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.bias.shape != (self.output_dim,):
-            raise ValueError(
-                f"bias shape {self.bias.shape} does not match out_dim {self.output_dim}"
-            )
+
+    @property
+    def output_dim(self) -> int:
+        return self.bias.size
 
 
 def eval_explicit(params: OracleParams, inputs) -> np.ndarray:
@@ -143,9 +149,7 @@ def build_coupled_tensors(blk: ChainBlock) -> OracleParams:
         key: mode1_fold(c @ kr.T, (o,) + tuple(dims[phi] for phi in key))
         for key, kr in chains.items()
     }
-    return OracleParams(
-        order, dims, o, tensors, np.array(blk.params["head_bias"], dtype=np.float64)
-    )
+    return OracleParams(tensors, np.array(blk.params["head_bias"], dtype=np.float64))
 
 
 # The float answer D is redone exactly when level D, the last that did not

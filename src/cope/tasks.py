@@ -81,29 +81,19 @@ def make_poly_regression(
     out_dim: int,
     n_samples: int,
 ) -> PolyRegression:
-    input_dims = (in_dim, in_dim)
     # both variables are in_dim wide, so a term's shape is its order alone
     tensors = {
         key: rng.uniform(-1.0, 1.0, size=(out_dim,) + (in_dim,) * len(key))
         for key in expansion_term_keys(degree, 2)
     }
-    params = OracleParams(
-        order=degree,
-        input_dims=input_dims,
-        output_dim=out_dim,
-        tensors=tensors,
-        bias=rng.uniform(-1.0, 1.0, size=out_dim),
-    )
+    params = OracleParams(tensors, rng.uniform(-1.0, 1.0, size=out_dim))
     inputs = [rng.uniform(-1.0, 1.0, (in_dim, n_samples)) for _ in range(2)]
     raw = eval_explicit(params, inputs)
     scale = float(np.std(raw))
     scale = scale if scale > 1e-8 else 1.0
     scaled = OracleParams(
-        order=degree,
-        input_dims=input_dims,
-        output_dim=out_dim,
-        tensors={k: v / scale for k, v in params.tensors.items()},
-        bias=params.bias / scale - raw.mean(axis=1) / scale,
+        {k: v / scale for k, v in params.tensors.items()},
+        params.bias / scale - raw.mean(axis=1) / scale,
     )
     return PolyRegression(target=scaled, inputs=inputs, outputs=eval_explicit(scaled, inputs))
 
@@ -125,7 +115,6 @@ class Downsample1D:
 
     signals: np.ndarray  # (length, n_samples)
     coarse: np.ndarray  # (length // factor, n_samples)
-    factor: int
 
 
 def make_downsample1d(
@@ -141,4 +130,4 @@ def make_downsample1d(
         signals += amp * np.sin(2.0 * np.pi * h * t + phase)
     signals *= 0.9 / np.max(np.abs(signals), axis=0, keepdims=True)
     coarse = signals.reshape(length // factor, factor, n_samples).mean(axis=1)
-    return Downsample1D(signals=signals, coarse=coarse, factor=factor)
+    return Downsample1D(signals=signals, coarse=coarse)

@@ -57,7 +57,7 @@ class TrainResult:
     steps_run: int
     final_loss: float
     metrics_path: Path
-    checkpoint_path: Path | None = None
+    checkpoint_path: Path
 
 
 def _fmt(v) -> str:
@@ -119,7 +119,6 @@ def _fit(spec, cfg, out_dir, header, step_loss) -> TrainResult:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     state = adam_init(spec, **_adam_settings(cfg))  # rebinds spec's arrays to views
-    params = model_parameters(spec)
     metrics = MetricsWriter(out_dir / "metrics.csv", header)
     value = float("nan")
     step = 0
@@ -131,7 +130,7 @@ def _fit(spec, cfg, out_dir, header, step_loss) -> TrainResult:
             metrics.row([step, value, *others, *diagnostics])
             if not np.isfinite([value, *others]).all():
                 raise TrainingDiverged(step, value, metrics.path)
-            adam_step(state, params, backward(tape, loss))
+            adam_step(state, backward(tape, loss))
             if cfg.stop_mse is not None and value < cfg.stop_mse:
                 break
     finally:
@@ -250,7 +249,7 @@ def train_conditional(
                     label_xx,
                 )
             )
-            adam_step(disc_state, disc, backward(tape_d, loss_d))
+            adam_step(disc_state, backward(tape_d, loss_d))
             logits = discriminator_forward(disc, fake, label_x)
             loss, others = generator_loss(logits), [float(loss_d.value)]
         return loss, others, [_diversity_probe(spec, task, draw)]

@@ -169,6 +169,24 @@ def test_rejects_size_mismatch(tmp_path):
         load_model(path)
 
 
+def test_truncated_file_names_the_path(tmp_path):
+    path = tmp_path / "m.json"
+    save_model(path, _chain())
+    path.write_text(path.read_text()[:100])
+    with pytest.raises(ValueError, match="is not valid JSON") as err:
+        load_model(path)
+    assert str(err.value).startswith(str(path))
+
+
+def test_undecodable_bytes_name_the_path(tmp_path):
+    path = tmp_path / "m.json"
+    save_model(path, _chain())
+    path.write_bytes(b"\xff" + path.read_bytes())
+    with pytest.raises(ValueError, match="is not valid JSON") as err:
+        load_model(path)
+    assert str(err.value).startswith(str(path))
+
+
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
     """A valid document of the shared ncp chain and a path to write variants to."""
@@ -184,6 +202,16 @@ def _write(path, doc):
     # a new file each time: truncating one in place is slow on some filesystems
     path.unlink(missing_ok=True)
     path.write_text(json.dumps(doc))
+
+
+def test_integer_too_large_for_a_float_names_the_parameter(saved):
+    doc, path = saved
+    doc = copy.deepcopy(doc)
+    doc["blocks"][0]["params"]["head"]["data"][0] = 10**400
+    _write(path, doc)
+    with pytest.raises(ValueError, match=r"block 0 parameter 'head': ") as err:
+        load_model(path)
+    assert str(err.value).startswith(str(path))
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from cope.losses import (
 )
 from cope.models import (
     discriminator_forward,
+    flatten_parameters,
     init_chain,
     init_discriminator,
     model_parameters,
@@ -286,7 +287,7 @@ class TestAdam:
         params = {"w": np.array([1.0, -1.0])}
         grads = {"w": np.array([2.0, -3.0])}
         state = adam_init(params, lr=0.1)
-        adam_step(state, params, grads)
+        adam_step(state, grads)
         np.testing.assert_allclose(params["w"], [0.9, -0.9], atol=1e-8)
 
     def test_constant_gradient_two_steps_match_hand_values(self):
@@ -294,9 +295,9 @@ class TestAdam:
         lr, g = 0.1, np.array([2.0])
         params = {"w": np.array([0.0])}
         state = adam_init(params, lr=lr)
-        adam_step(state, params, {"w": g})
+        adam_step(state, {"w": g})
         first = -params["w"][0]
-        adam_step(state, params, {"w": g})
+        adam_step(state, {"w": g})
         second = -params["w"][0] - first
         hand = lr * 2.0 / (2.0 + 1e-8)
         assert first == pytest.approx(hand, rel=1e-12)
@@ -306,7 +307,7 @@ class TestAdam:
     def test_zero_gradient_fresh_state_is_identity(self):
         params = {"w": np.array([3.0, -4.0])}
         state = adam_init(params)
-        adam_step(state, params, {"w": np.zeros(2)})
+        adam_step(state, {"w": np.zeros(2)})
         np.testing.assert_array_equal(params["w"], [3.0, -4.0])
         assert state.step == 1
 
@@ -317,21 +318,35 @@ class TestAdam:
             np.random.default_rng(5), (2, 2), (2,), rank=3, hidden_dim=3, out_dim=2
         )
         state = adam_init(spec, lr=0.5)
-        params = model_parameters(spec)
+        params = state.params
         held = spec.blocks[0].params
         for _ in range(2):
             before = {name: a.copy() for name, a in params.items()}
-            adam_step(state, params, {name: np.ones_like(a) for name, a in params.items()})
+            adam_step(state, {name: np.ones_like(a) for name, a in params.items()})
             for name, a in model_parameters(spec).items():
                 assert a is params[name] and a is held[name.split(".", 1)[1]]
                 assert np.shares_memory(a, state.flat)
                 assert (a != before[name]).all(), name
 
+    def test_flatten_views_are_the_models_own_arrays(self):
+        spec = init_chain(
+            np.random.default_rng(7), (2, 3), (2, 1), rank=3, hidden_dim=2, out_dim=2,
+            share_conditional=True,
+        )
+        before = {name: a.copy() for name, a in model_parameters(spec).items()}
+        flat, views = flatten_parameters(spec)
+        held = model_parameters(spec)
+        assert list(views) == list(held) == list(before)
+        for name, view in views.items():
+            assert view is held[name], name
+            assert np.shares_memory(view, flat), name
+            assert view.tobytes() == before[name].tobytes(), name
+
     def test_plain_dict_is_rebound_to_views(self):
         params = {"w": np.ones(3), "b": np.zeros((2, 1))}
         state = adam_init(params, lr=0.5)
         w = params["w"]
-        adam_step(state, params, {"w": np.ones(3), "b": -np.ones((2, 1))})
+        adam_step(state, {"w": np.ones(3), "b": -np.ones((2, 1))})
         assert params["w"] is w and params["b"].shape == (2, 1)
         # the first step moves every entry by lr against its gradient's sign
         np.testing.assert_allclose(state.flat, [0.5, 0.5, 0.5, 0.5, 0.5], atol=1e-8)
@@ -360,7 +375,7 @@ class TestAdam:
         state = adam_init(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
         for t in range(1, steps + 1):
             grads = {name: rng.standard_normal(a.shape) for name, a in ref.items()}
-            adam_step(state, params, grads)
+            adam_step(state, grads)
             for name, p in ref.items():  # one array at a time, as before the flat vector
                 g = grads[name]
                 m[name] *= beta1
@@ -380,25 +395,25 @@ class TestAdam:
         )
         state = adam_init(spec)
         blk = spec.blocks[0]
-        start, stop = state.layout["b0.in1.v1"]
-        assert not any(".v1" in name for name in state.layout if name != "b0.in1.v1")
-        assert stop - start == blk.factor(1, 1).size
+        shared = state.params["b0.in1.v1"]
+        assert not any(".v1" in name for name in state.params if name != "b0.in1.v1")
         assert state.flat.size == sum(a.size for a in model_parameters(spec).values())
-        params = model_parameters(spec)
-        adam_step(state, params, {name: np.ones_like(a) for name, a in params.items()})
+        adam_step(state, {name: np.ones_like(a) for name, a in state.params.items()})
         for n in range(1, blk.order + 1):
-            factor = blk.factor(n, 1)
-            assert np.shares_memory(factor, state.flat[start:stop])
-            np.testing.assert_array_equal(factor.reshape(-1), state.flat[start:stop])
+            assert blk.factor(n, 1) is shared
+        # the one slice of flat that no other parameter's view overlaps
+        others = [a for name, a in state.params.items() if name != "b0.in1.v1"]
+        assert not any(np.shares_memory(shared, a) for a in others)
+        assert np.shares_memory(shared, state.flat)
 
     def test_missing_gradient_named(self):
         params = {"w": np.ones(1)}
         state = adam_init(params)
         with pytest.raises(KeyError, match="'w'"):
-            adam_step(state, params, {})
+            adam_step(state, {})
 
     def test_shape_mismatch_named(self):
         params = {"w": np.ones(2)}
         state = adam_init(params)
         with pytest.raises(ValueError, match="gradient for 'w'"):
-            adam_step(state, params, {"w": np.ones(3)})
+            adam_step(state, {"w": np.ones(3)})

@@ -24,13 +24,7 @@ def ones_oracle(order, input_dims, output_dim=1, n_vars=2):
         key: np.ones(term_shape(key, input_dims, output_dim))
         for key in expansion_term_keys(order, n_vars)
     }
-    return OracleParams(
-        order=order,
-        input_dims=input_dims,
-        output_dim=output_dim,
-        tensors=tensors,
-        bias=np.zeros(output_dim),
-    )
+    return OracleParams(tensors, np.zeros(output_dim))
 
 
 def ones_ccp(order, n_vars):
@@ -44,13 +38,7 @@ def ones_ccp(order, n_vars):
 class TestEvalExplicit:
     def test_first_order_identity_tensors_add_inputs(self):
         d = 3
-        params = OracleParams(
-            order=1,
-            input_dims=(d, d),
-            output_dim=d,
-            tensors={(1,): np.eye(d), (0,): np.eye(d)},
-            bias=np.zeros(d),
-        )
+        params = OracleParams({(1,): np.eye(d), (0,): np.eye(d)}, np.zeros(d))
         z1 = np.array([[1.0], [2.0], [3.0]])
         z2 = np.array([[10.0], [20.0], [30.0]])
         np.testing.assert_array_equal(eval_explicit(params, [z1, z2]), z1 + z2)
@@ -80,8 +68,8 @@ class TestEvalExplicit:
             else:
                 tensors3[key] = np.zeros(shape)
         bias = rng.standard_normal(o)
-        p3 = OracleParams(order, (d1, d2, d3), o, tensors3, bias)
-        p2 = OracleParams(order, (d1, d2), o, tensors2, bias)
+        p3 = OracleParams(tensors3, bias)
+        p2 = OracleParams(tensors2, bias)
         z1, z2, z3 = (rng.standard_normal((d, 1)) for d in (d1, d2, d3))
         np.testing.assert_array_equal(
             eval_explicit(p3, [z1, z2, z3]), eval_explicit(p2, [z1, z2])
@@ -95,16 +83,10 @@ class TestEvalExplicit:
         z = [rng.standard_normal((2, 1)), rng.standard_normal((2, 1))]
         y0 = eval_explicit(base, z)
         doubled = OracleParams(
-            2,
-            (2, 2),
-            2,
             {k: (2.0 * v if k == (0, 1) else v) for k, v in base.tensors.items()},
             base.bias,
         )
         extra_key_only = OracleParams(
-            2,
-            (2, 2),
-            2,
             {k: (v if k == (0, 1) else np.zeros_like(v)) for k, v in base.tensors.items()},
             np.zeros(2),
         )
@@ -140,20 +122,40 @@ class TestOracleParamsValidation:
         bad = dict(good.tensors)
         del bad[(0, 1)]
         with pytest.raises(ValueError, match=r"missing \[\(0, 1\)\]"):
-            OracleParams(2, (2, 2), 1, bad, np.zeros(1))
+            OracleParams(bad, np.zeros(1))
 
     def test_wrong_tensor_shape(self):
         good = ones_oracle(2, (2, 3))
         bad = dict(good.tensors)
         bad[(0, 1)] = np.ones((1, 3, 2))
         with pytest.raises(ValueError, match=r"tensor \(0, 1\) has shape"):
-            OracleParams(2, (2, 3), 1, bad, np.zeros(1))
+            OracleParams(bad, np.zeros(1))
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("input_dims", [(2, 3), (1, 3, 2)])
+    def test_reads_order_and_dims_from_its_tensors(self, order, input_dims):
+        params = ones_oracle(order, input_dims, output_dim=3, n_vars=len(input_dims))
+        assert params.order == order
+        assert params.input_dims == input_dims
+        assert params.output_dim == 3
+
+    @pytest.mark.parametrize("key", ["ab", 7, (0, "a")])
+    def test_malformed_key_is_a_key_mismatch(self, key):
+        tensors = dict(ones_oracle(1, (2, 2)).tensors)
+        tensors[key] = np.ones((1, 2))
+        with pytest.raises(ValueError, match=r"term keys mismatch: .*unexpected \[.*"):
+            OracleParams(tensors, np.zeros(1))
+
+    def test_bias_must_be_a_vector(self):
+        tensors = ones_oracle(1, (2, 2)).tensors
+        with pytest.raises(ValueError, match=r"bias must be a vector, got shape \(1, 1\)"):
+            OracleParams(tensors, np.zeros((1, 1)))
 
     def test_leaves_the_callers_dict_untouched(self):
         keys = expansion_term_keys(2, 2)
         given = {key: np.ones(term_shape(key, (2, 3), 1), dtype=int) for key in keys[::-1]}
         arrays = dict(given)
-        params = OracleParams(2, (2, 3), 1, given, np.zeros(1))
+        params = OracleParams(given, np.zeros(1))
         assert list(given) == keys[::-1]
         assert all(given[key] is arrays[key] for key in keys)
         assert all(a.dtype == int and (a == 1).all() for a in given.values())
@@ -172,17 +174,14 @@ class TestScalarSecondOrder:
         quad_a, quad_b, cross = (rng.standard_normal((d, d)) for _ in range(3))
         offset = float(rng.standard_normal())
         params = OracleParams(
-            order=2,
-            input_dims=(d, d),
-            output_dim=1,
-            tensors={
+            {
                 (1,): lin_b[None, :],
                 (0,): lin_a[None, :],
                 (1, 1): quad_b[None, :, :],
                 (0, 1): cross[None, :, :],
                 (0, 0): quad_a[None, :, :],
             },
-            bias=np.array([offset]),
+            np.array([offset]),
         )
         for _ in range(10):
             z_a, z_b = rng.uniform(-1, 1, d), rng.uniform(-1, 1, d)
