@@ -111,9 +111,6 @@ class Var:
     def tanh(self):
         return self.tape._push("tanh", np.tanh(self.value), (self.nid,))
 
-    def exp(self):
-        return self.tape._push("exp", np.exp(self.value), (self.nid,))
-
     def softplus(self):
         return self.tape._push(
             "softplus", np.logaddexp(0.0, self.value), (self.nid,)
@@ -161,10 +158,6 @@ def tmatmul(a, b):
 
 def tanh(x):
     return x.tanh() if isinstance(x, Var) else np.tanh(x)
-
-
-def exp(x):
-    return x.exp() if isinstance(x, Var) else np.exp(x)
 
 
 def softplus(x):
@@ -216,7 +209,6 @@ _RULES: dict[str, Callable] = {
     # the matmul rule's A gradient transposed: the transpose + matmul pair's bytes
     "tmatmul": lambda n, g, v: ((g @ v[n.inputs[1]].value.T).T, v[n.inputs[0]].value @ g),
     "tanh": lambda n, g, v: (g * (1.0 - n.value**2),),
-    "exp": lambda n, g, v: (g * n.value,),
     "softplus": lambda n, g, v: (
         g / (1.0 + np.exp(-v[n.inputs[0]].value)),
     ),

@@ -242,10 +242,35 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# glibc's mallopt(3) parameters M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, and
+# the values a command sets: 32 MiB and 128 MiB
+_ALLOCATOR_THRESHOLDS = ((-3, 32 << 20), (-1, 128 << 20))
+
+
+def set_allocator_thresholds() -> None:
+    """Keep this process's arrays on the heap: under glibc, serve blocks up
+    to 32 MiB from it and return freed memory to the kernel only past
+    128 MiB, so a step's kernel arrays are reused, not unmapped and faulted
+    back in. Setting either turns off glibc's dynamic mmap threshold, so
+    both are set. A no-op on any other C library. Only a command calls
+    this, for its own process; importing cope sets nothing."""
+    import ctypes
+    import platform
+
+    if platform.libc_ver()[0] != "glibc":
+        return
+    libc = ctypes.CDLL(None)
+    for param, value in _ALLOCATOR_THRESHOLDS:
+        libc.mallopt(param, value)
+
+
 def exit_status(run) -> int:
     """`run()`'s exit code, or the code of its failure: 2 after
     `config error: ...` when the config is rejected, 1 after the message
-    when the run stops on an error, runs out of memory or diverges."""
+    when the run stops on an error, runs out of memory or diverges. Every
+    command and script runs through here, so it first sets the allocator
+    thresholds for the process."""
+    set_allocator_thresholds()
     try:
         return run()
     except ConfigError as e:

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .autodiff import Var, exp, softplus
+from .autodiff import Var, softplus
 
 DEFAULT_BANDWIDTH_FACTORS = (0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -24,7 +24,8 @@ def mse_loss(pred, target):
 
 def pairwise_sq_dists(x, y):
     """(k, n, m) squared distances between each class's columns of (d, k, n)
-    and (d, k, m) batches; the difference form, as the tape's matmul is 2-D."""
+    and (d, k, m) plain batches. The difference form, not the Gram
+    expansion, so `dyy` and the bandwidths read from it keep their bytes."""
     d, k, n, m = *x.shape, y.shape[2]
     diff = x.reshape((d, k, n, 1)) - y.reshape((d, k, 1, m))
     return (diff * diff).sum(axis=0)
@@ -56,7 +57,10 @@ def mmd_loss(x, y, bandwidths, dyy):
     `pairwise_sq_dists(y, y)`.
 
     A V-statistic with all pair terms kept, so identical batches give
-    exactly zero and no value is negative (up to rounding).
+    exactly zero and no value is negative (up to rounding). The kernels run
+    on plain arrays; for a Var `x` the (k,) result is one tape node whose
+    VJP backprops through the distances with batched matmuls. `y` and
+    `dyy` are plain arrays.
     """
     if x.ndim != 3 or y.ndim != 3 or y.shape[:2] != x.shape[:2] or 0 in x.shape + y.shape:
         raise ValueError(f"mmd_loss: unequal or empty batches {x.shape}, {y.shape}")
@@ -67,15 +71,31 @@ def mmd_loss(x, y, bandwidths, dyy):
     # coefficients -0.5 / sigma^2 on a (B, k, 1, 1) grid: one exp over a
     # (B, k, n, m) product evaluates every class and every bandwidth
     coefs = (-0.5 / (bw * bw)).T[:, :, None, None]
-
-    def kernel_sums(d2):
-        return exp(d2 * coefs).sum(axis=(0, 2, 3))
-
-    return (
-        kernel_sums(pairwise_sq_dists(x, x)) * (1.0 / (n * n))
-        + kernel_sums(dyy) * (1.0 / (m * m))
-        - kernel_sums(pairwise_sq_dists(x, y)) * (2.0 / (n * m))
+    xv = x.value if isinstance(x, Var) else x
+    kxx = np.exp(pairwise_sq_dists(xv, xv) * coefs)
+    kxy = np.exp(pairwise_sq_dists(xv, y) * coefs)
+    value = (
+        kxx.sum(axis=(0, 2, 3)) * (1.0 / (n * n))
+        + np.exp(dyy * coefs).sum(axis=(0, 2, 3)) * (1.0 / (m * m))
+        - kxy.sum(axis=(0, 2, 3)) * (2.0 / (n * m))
     )
+    if not isinstance(x, Var):
+        return value
+
+    def vjp(g):
+        # d loss / d distance, the bandwidths summed: (k, n, n) and (k, n, m).
+        # kxx is exactly symmetric, so x_i's weight from either side of its
+        # pairs, G + G.T, is 2 G.
+        c = coefs[:, :, 0, 0] * g
+        gxx = np.einsum("bkij,bk->kij", kxx, c * (2.0 / (n * n)))
+        gxy = np.einsum("bkij,bk->kij", kxy, c * (-2.0 / (n * m)))
+        # per class, d |x_i - y_j|^2 / d x_i = 2 (x_i - y_j): (k, d, n) batches
+        xk, yk = xv.transpose(1, 0, 2), y.transpose(1, 0, 2)
+        rows = (gxx.sum(axis=2) + gxy.sum(axis=2))[:, None, :]
+        gx = xk * rows - xk @ gxx - yk @ gxy.transpose(0, 2, 1)
+        return (2.0 * gx.transpose(1, 0, 2),)
+
+    return x.tape.custom(value, [x], vjp)
 
 
 def discriminator_loss(logits):

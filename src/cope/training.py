@@ -131,6 +131,7 @@ def _fit(spec, cfg, out_dir, header, step_loss) -> TrainResult:
             if not np.isfinite([value, *others]).all():
                 raise TrainingDiverged(step, value, metrics.path)
             adam_step(state, backward(tape, loss))
+            del loss, tape  # only one step's tape lives through a forward
             if cfg.stop_mse is not None and value < cfg.stop_mse:
                 break
     finally:

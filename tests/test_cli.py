@@ -432,3 +432,43 @@ def test_unreadable_config_file_exits_2(tmp_path, capsys):
     assert "missing.json cannot be read" in capsys.readouterr().err
     assert not (tmp_path / "v").exists()
 
+
+@pytest.mark.parametrize("libc,want", [
+    (("glibc", "2.36"), [(-3, 33554432), (-1, 134217728)]),
+    (("", ""), []),
+])
+def test_a_command_sets_the_allocator_thresholds_under_glibc_only(
+    tmp_path, monkeypatch, libc, want
+):
+    import ctypes
+    import platform
+
+    calls = []
+
+    class Libc:
+        def __init__(self, name):
+            assert name is None
+
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", Libc)
+    monkeypatch.setattr(platform, "libc_ver", lambda *args, **kwargs: libc)
+    assert main(["verify", "--suite", "lemma1", "--out", str(tmp_path)]) == 0
+    assert calls == want
+
+
+def test_importing_the_cli_sets_no_allocator_threshold():
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import ctypes\n"
+        "calls = []\n"
+        "ctypes.CDLL = lambda *args, **kwargs: calls.append(args)\n"
+        "import cope.cli\n"
+        "assert calls == [], calls\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(root / "src")}, check=True,
+    )

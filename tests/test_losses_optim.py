@@ -183,6 +183,69 @@ class TestBatchedMmd:
         assert finite_diff_check(f, {"x": x})[0] < 1e-5
 
 
+def ref_exp(v):
+    """The elementwise exp recorded as its own node: VJP g * exp(v)."""
+    out = np.exp(v.value)
+    return v.tape.custom(out, [v], lambda g: (g * out,))
+
+
+def ref_pairwise_sq_dists(x, y):
+    d, k, n, m = *x.shape, y.shape[2]
+    diff = x.reshape((d, k, n, 1)) - y.reshape((d, k, 1, m))
+    return (diff * diff).sum(axis=0)
+
+
+def ref_mmd(x, y, bandwidths, dyy):
+    """The MMD composed one op at a time on a tape: difference distances,
+    `exp`, `sum` and `mul` over the (B, k, n, m) kernel grid."""
+    (_, k, n), m = x.shape, y.shape[2]
+    bw = np.asarray(bandwidths, dtype=np.float64)
+    coefs = (-0.5 / (bw * bw)).T[:, :, None, None]
+
+    def kernel_sums(d2):
+        e = ref_exp(d2 * coefs) if isinstance(d2, Var) else np.exp(d2 * coefs)
+        return e.sum(axis=(0, 2, 3))
+
+    return (
+        kernel_sums(ref_pairwise_sq_dists(x, x)) * (1.0 / (n * n))
+        + kernel_sums(dyy) * (1.0 / (m * m))
+        - kernel_sums(ref_pairwise_sq_dists(x, y)) * (2.0 / (n * m))
+    )
+
+
+class TestMmdNode:
+    """On a Var, `mmd_loss` is one tape node with a hand-written VJP. Its
+    value must be the bytes of the op-by-op reference above, and its
+    gradient that reference's to rounding."""
+
+    @pytest.mark.parametrize("k,n,m,n_bw", [
+        (1, 5, 7, 1), (1, 6, 4, 5), (4, 6, 9, 1), (4, 8, 5, 5),
+    ])
+    def test_matches_the_op_by_op_tape(self, k, n, m, n_bw):
+        rng = np.random.default_rng(100 * k + 10 * n + m)
+        xv = rng.standard_normal((3, k, n))
+        y = rng.standard_normal((3, k, m))
+        dyy = pairwise_sq_dists(y, y)
+        bw = ladders(y) if n_bw == 5 else rng.uniform(0.5, 2.0, (k, 1))
+        assert bw.shape == (k, n_bw)
+
+        tape, ref_tape = Tape(), Tape()
+        got = mmd_loss(tape.param("x", xv), y, bw, dyy)
+        want = ref_mmd(ref_tape.param("x", xv), y, bw, dyy)
+        assert [node.op for node in tape.nodes] == ["leaf", "custom"]
+        np.testing.assert_array_equal(got.value, want.value)
+
+        seed = rng.standard_normal(k)
+        np.testing.assert_allclose(
+            backward(tape, got, seed)["x"], backward(ref_tape, want, seed)["x"],
+            rtol=1e-12, atol=0.0,
+        )
+
+        plain = mmd_loss(xv, y, bw, dyy)
+        assert type(plain) is np.ndarray
+        np.testing.assert_array_equal(plain, got.value)
+
+
 class TestLossGradients:
     """Tape gradients of the losses training differentiates, against central
     differences at the 1e-5 tolerance of the `gradients` suite. The seeds

@@ -250,9 +250,10 @@ def test_mmd_step_tape_has_no_transpose_and_few_nodes(tmp_path, monkeypatch):
     assert len(tapes) == 2
     for ops in tapes:
         assert "transpose" not in ops
-        # 12 parameter leaves, one node per block, then tanh and the MMD loss
-        assert ops.count("custom") == 2
-        assert len(ops) == 36
+        # 12 parameter leaves, one node per block, tanh, the reshape to
+        # (d, k, n), the MMD loss as one node and its sum over the classes
+        assert ops.count("custom") == 3
+        assert len(ops) == 18
 
 
 def test_gan_step_runs_the_discriminator_twice_on_two_small_tapes(tmp_path, monkeypatch):
