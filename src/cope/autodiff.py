@@ -2,14 +2,17 @@
 
 Graphs are built by running ordinary forward code on :class:`Var` handles;
 the same forward code runs on plain ndarrays, which is what the finite
-difference checker and the brute-force oracles rely on. Gradient
-accumulation walks node ids in reverse, so the order is deterministic.
+difference checker and the brute-force oracles rely on. Every node that is
+not a leaf carries its own VJP, a closure over its operands' values; a
+plain operand is closed over, never pushed, so it gets no gradient.
+Gradient accumulation walks node ids in reverse, so the order is
+deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -19,7 +22,8 @@ class Node:
     op: str
     value: np.ndarray
     inputs: tuple[int, ...]
-    ctx: Any = None
+    # the inputs' gradients from this node's, in order; None on a leaf
+    vjp: Callable | None = None
 
 
 class Tape:
@@ -27,9 +31,9 @@ class Tape:
         self.nodes: list[Node] = []
         self._params: dict[str, int] = {}
 
-    def _push(self, op, value, inputs=(), ctx=None) -> "Var":
+    def _push(self, op, value, inputs=(), vjp=None) -> "Var":
         self.nodes.append(
-            Node(op, np.asarray(value, dtype=np.float64), tuple(inputs), ctx)
+            Node(op, np.asarray(value, dtype=np.float64), tuple(inputs), vjp)
         )
         return Var(self, len(self.nodes) - 1)
 
@@ -41,15 +45,70 @@ class Tape:
         self._params[name] = v.nid
         return v
 
-    def constant(self, value) -> "Var":
-        return self._push("leaf", value)
-
     def custom(self, value, inputs, vjp) -> "Var":
         """A node computed off the tape from the Vars `inputs`; `vjp(g)`
-        returns each input's gradient, in order."""
+        returns each input's gradient, in order. `vjp` must hold no Var:
+        one that reached its own tape would keep it alive until a GC pass."""
         if any(v.tape is not self for v in inputs):
             raise ValueError("operands live on different tapes")
-        return self._push("custom", value, [v.nid for v in inputs], ctx=vjp)
+        return self._push("custom", value, [v.nid for v in inputs], vjp)
+
+
+def _binary(op, a, b, rule):
+    """Push `op` of `a` and `b`, at least one of them a Var. `rule` is
+    `(fn, grad_a, grad_b)`: for operand values x and y the node's value is
+    `fn(x, y)`, and `grad_a(g, x, y)` and `grad_b(g, x, y)` are the
+    operands' gradients. Only a Var is an input: a plain operand is closed
+    over as a float64 array, and its gradient is never formed."""
+    fn, grad_a, grad_b = rule
+    if isinstance(a, Var):
+        tape, x = a.tape, a.value
+        if isinstance(b, Var):
+            if b.tape is not tape:
+                raise ValueError("operands live on different tapes")
+            y = b.value
+            return tape._push(
+                op, fn(x, y), (a.nid, b.nid),
+                lambda g: (grad_a(g, x, y), grad_b(g, x, y)),
+            )
+        y = np.asarray(b, dtype=np.float64)
+        return tape._push(op, fn(x, y), (a.nid,), lambda g: (grad_a(g, x, y),))
+    x = np.asarray(a, dtype=np.float64)
+    y = b.value
+    return b.tape._push(op, fn(x, y), (b.nid,), lambda g: (grad_b(g, x, y),))
+
+
+def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
+
+
+def _matrix_product(op, x, y):
+    """`x @ y`, or `x.T @ y` for "tmatmul", of two matrices."""
+    if x.ndim != 2 or y.ndim != 2:
+        raise ValueError(f"{op} expects matrices, got {x.shape} and {y.shape}")
+    return (x.T if op == "tmatmul" else x) @ y
+
+
+# Each binary op's (value, first operand's gradient, second operand's
+# gradient), of the operand values x, y and the output's gradient g.
+_ADD = (np.add, lambda g, x, y: _unbroadcast(g, x.shape),
+        lambda g, x, y: _unbroadcast(g, y.shape))
+_SUB = (np.subtract, _ADD[1], lambda g, x, y: _unbroadcast(-g, y.shape))
+_MUL = (np.multiply, lambda g, x, y: _unbroadcast(g * y, x.shape),
+        lambda g, x, y: _unbroadcast(g * x, y.shape))
+_MATMUL = (lambda x, y: _matrix_product("matmul", x, y),
+           lambda g, x, y: g @ y.T, lambda g, x, y: x.T @ g)
+# the matmul rule's A gradient transposed: the transpose + matmul pair's bytes
+_TMATMUL = (lambda x, y: _matrix_product("tmatmul", x, y),
+            lambda g, x, y: (g @ y.T).T, lambda g, x, y: x @ g)
 
 
 class Var:
@@ -76,83 +135,71 @@ class Var:
     def ndim(self):
         return self.value.ndim
 
-    def _binary(self, other, op, op_const, fn):
-        if isinstance(other, Var):
-            if other.tape is not self.tape:
-                raise ValueError("operands live on different tapes")
-            return self.tape._push(
-                op, fn(self.value, other.value), (self.nid, other.nid)
-            )
-        c = np.asarray(other, dtype=np.float64)
-        return self.tape._push(op_const, fn(self.value, c), (self.nid,), ctx=c)
-
     def __add__(self, other):
-        return self._binary(other, "add", "add_const", np.add)
+        return _binary("add", self, other, _ADD)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, "sub", "sub_const", np.subtract)
+        return _binary("sub", self, other, _SUB)
 
     def __mul__(self, other):
-        return self._binary(other, "mul", "mul_const", np.multiply)
+        return _binary("mul", self, other, _MUL)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self.tape._push("neg", -self.value, (self.nid,))
+        return self.tape._push("neg", -self.value, (self.nid,), lambda g: (-g,))
 
     def __matmul__(self, other):
-        return _matrix_product("matmul", self, other)
+        return _binary("matmul", self, other, _MATMUL)
 
     def __rmatmul__(self, other):
-        return _matrix_product("matmul", other, self)
+        return _binary("matmul", other, self, _MATMUL)
 
     def tanh(self):
-        return self.tape._push("tanh", np.tanh(self.value), (self.nid,))
+        y = np.tanh(self.value)
+        return self.tape._push(
+            "tanh", y, (self.nid,), lambda g: (g * (1.0 - y**2),)
+        )
 
     def softplus(self):
+        x = self.value
         return self.tape._push(
-            "softplus", np.logaddexp(0.0, self.value), (self.nid,)
+            "softplus", np.logaddexp(0.0, x), (self.nid,),
+            lambda g: (g / (1.0 + np.exp(-x)),),
         )
 
     def sum(self, axis=None, keepdims=False):
         if axis is not None and not isinstance(axis, tuple):
             axis = (axis,)
+        shape = self.value.shape
+
+        def vjp(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return (np.broadcast_to(g, shape),)
+
         return self.tape._push(
-            "sum",
-            np.sum(self.value, axis=axis, keepdims=keepdims),
-            (self.nid,),
-            ctx=(axis, keepdims, self.value.shape),
+            "sum", np.sum(self.value, axis=axis, keepdims=keepdims), (self.nid,), vjp
         )
 
     def mean(self):
         return self.sum() * (1.0 / self.value.size)
 
     def reshape(self, shape):
+        in_shape = self.value.shape
         return self.tape._push(
-            "reshape",
-            np.reshape(self.value, shape),
-            (self.nid,),
-            ctx=self.value.shape,
+            "reshape", np.reshape(self.value, shape), (self.nid,),
+            lambda g: (np.reshape(g, in_shape),),
         )
-
-
-def _matrix_product(op, a, b):
-    """Push `a @ b` or, as "tmatmul", `a.T @ b`; plain operands become constants."""
-    tape = a.tape if isinstance(a, Var) else b.tape
-    a, b = (v if isinstance(v, Var) else tape.constant(v) for v in (a, b))
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"{op} expects matrices, got {a.shape} and {b.shape}")
-    lhs = a.value.T if op == "tmatmul" else a.value
-    return tape._push(op, lhs @ b.value, (a.nid, b.nid))
 
 
 def tmatmul(a, b):
     """`a.T @ b`: one tape node when either side is a Var, no transpose node.
     Plain arrays may carry leading copy axes."""
     if isinstance(a, Var) or isinstance(b, Var):
-        return _matrix_product("tmatmul", a, b)
+        return _binary("tmatmul", a, b, _TMATMUL)
     return a.swapaxes(-1, -2) @ b
 
 
@@ -164,65 +211,10 @@ def softplus(x):
     return x.softplus() if isinstance(x, Var) else np.logaddexp(0.0, x)
 
 
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
-def _sum_backward(node, g, nodes):
-    axis, keepdims, in_shape = node.ctx
-    if axis is not None and not keepdims:
-        g = np.expand_dims(g, axis)
-    return (np.broadcast_to(g, in_shape),)
-
-
-_RULES: dict[str, Callable] = {
-    "add": lambda n, g, v: (
-        _unbroadcast(g, v[n.inputs[0]].value.shape),
-        _unbroadcast(g, v[n.inputs[1]].value.shape),
-    ),
-    "add_const": lambda n, g, v: (_unbroadcast(g, v[n.inputs[0]].value.shape),),
-    "sub": lambda n, g, v: (
-        _unbroadcast(g, v[n.inputs[0]].value.shape),
-        _unbroadcast(-g, v[n.inputs[1]].value.shape),
-    ),
-    "sub_const": lambda n, g, v: (_unbroadcast(g, v[n.inputs[0]].value.shape),),
-    "mul": lambda n, g, v: (
-        _unbroadcast(g * v[n.inputs[1]].value, v[n.inputs[0]].value.shape),
-        _unbroadcast(g * v[n.inputs[0]].value, v[n.inputs[1]].value.shape),
-    ),
-    "mul_const": lambda n, g, v: (
-        _unbroadcast(g * n.ctx, v[n.inputs[0]].value.shape),
-    ),
-    "neg": lambda n, g, v: (-g,),
-    "matmul": lambda n, g, v: (
-        g @ v[n.inputs[1]].value.T,
-        v[n.inputs[0]].value.T @ g,
-    ),
-    # the matmul rule's A gradient transposed: the transpose + matmul pair's bytes
-    "tmatmul": lambda n, g, v: ((g @ v[n.inputs[1]].value.T).T, v[n.inputs[0]].value @ g),
-    "tanh": lambda n, g, v: (g * (1.0 - n.value**2),),
-    "softplus": lambda n, g, v: (
-        g / (1.0 + np.exp(-v[n.inputs[0]].value)),
-    ),
-    "sum": _sum_backward,
-    "reshape": lambda n, g, v: (np.reshape(g, n.ctx),),
-    "custom": lambda n, g, v: n.ctx(g),
-}
-
-
 def backward(tape: Tape, out: Var, seed=None) -> dict[str, np.ndarray]:
     """Accumulate d(seed . out)/d(param) for every registered parameter.
 
-    Parameters the output does not depend on get zero gradients. Nodes whose
-    op has no registered rule raise, naming the op.
+    Parameters the output does not depend on get zero gradients.
     """
     nodes = tape.nodes
     out_val = nodes[out.nid].value
@@ -234,19 +226,13 @@ def backward(tape: Tape, out: Var, seed=None) -> dict[str, np.ndarray]:
     grads: list[np.ndarray | None] = [None] * (out.nid + 1)
     grads[out.nid] = seed
     for nid in range(out.nid, -1, -1):
-        g = grads[nid]
-        if g is None:
+        g, vjp = grads[nid], nodes[nid].vjp
+        if g is None or vjp is None:
             continue
-        node = nodes[nid]
-        if node.op == "leaf":
-            continue
-        rule = _RULES.get(node.op)
-        if rule is None:
-            raise ValueError(f"no backward rule registered for op '{node.op}'")
         # Contributions may be read-only broadcast views, or the very object
         # held in another slot (add/sub pass `g` through), so later ones are
         # summed into a new array, never added in place.
-        for inp, contrib in zip(node.inputs, rule(node, g, nodes)):
+        for inp, contrib in zip(nodes[nid].inputs, vjp(g)):
             prev = grads[inp]
             grads[inp] = contrib if prev is None else prev + contrib
     result = {}
@@ -299,7 +285,7 @@ def finite_diff_check(f, model, h: float = 1e-5) -> tuple[float, str]:
     out = f(lift_model(tape, model))
     if not isinstance(out, Var) or out.value.size != 1:
         raise ValueError("finite_diff_check needs a scalar-valued graph output")
-    analytic = backward(tape, out, np.ones_like(out.value))
+    analytic = backward(tape, out)
     # 2 / FD_TOLERANCE rounded to the integer it stands for, 2e5 exactly
     floor = round(2 / FD_TOLERANCE) * float(np.finfo(np.float64).eps)
     floor = floor * abs(out.value.item()) / h

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -64,6 +65,12 @@ def _regression_data(cfg: ExperimentConfig):
         data_rng, cfg.signal_length, cfg.downsample_factor, cfg.train_samples
     )
     return (task.coarse.shape[0],), [task.coarse], task.signals
+
+
+def _conditional_shape(cfg: ExperimentConfig):
+    """(var_dims, out_dim) of the cond-point-cloud generator: noise and a
+    one-hot label in, one 2-D point out."""
+    return (cfg.noise_dim, cfg.n_classes), 2
 
 
 def _build_chain(cfg: ExperimentConfig, var_dims, out_dim):
@@ -122,7 +129,7 @@ def _run_train_regression(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def _run_train_conditional(cfg: ExperimentConfig, out_dir: Path) -> int:
     task = cluster_task(cfg)
-    spec = _build_chain(cfg, (cfg.noise_dim, cfg.n_classes), out_dim=2)
+    spec = _build_chain(cfg, *_conditional_shape(cfg))
     print(f"model: {cfg.variant} blocks {list(cfg.block_orders)} "
           f"rank {cfg.rank} ({count_parameters(spec)} parameters)")
     result = train_conditional(spec, task, cfg, out_dir)
@@ -134,7 +141,7 @@ def _run_train_conditional(cfg: ExperimentConfig, out_dir: Path) -> int:
 def _run_degree_report(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Probe the configured model's numerical degree jointly and per input."""
     if cfg.task == "cond-point-cloud":
-        var_dims, out_dim = (cfg.noise_dim, cfg.n_classes), 2
+        var_dims, out_dim = _conditional_shape(cfg)
     else:
         var_dims, _, targets = _regression_data(cfg)
         out_dim = targets.shape[0]
@@ -160,13 +167,10 @@ def _run_degree_report(cfg: ExperimentConfig, out_dir: Path) -> int:
             d if j == i else np.zeros_like(d) for j, d in enumerate(joint_dir)
         ]
         degrees[f"input{i}"] = probe(single)
-    nominal = 1
-    for n in cfg.block_orders:
-        nominal *= n
     report = {
         "variant": cfg.variant,
         "block_orders": list(cfg.block_orders),
-        "nominal_order": nominal,
+        "nominal_order": math.prod(cfg.block_orders),
         "probe_max_order": cfg.probe_max_order,
         "degrees": degrees,
     }

@@ -2,9 +2,7 @@
 output and every gradient must be the bytes of the same recursion recorded
 one op at a time, which this file keeps as the reference."""
 
-import gc
 import operator
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -173,24 +171,6 @@ def test_plain_arrays_push_nothing():
     tape = Tape()
     ref = ref_ncp(lift_model(tape, blk), z, operator.mul)
     assert out.tobytes() == ref.value.tobytes()
-
-
-@pytest.mark.parametrize("kind", ["ccp", "ncp"])
-def test_a_block_node_frees_its_tape_without_a_gc_pass(kind):
-    # a VJP closure that held a Var would make a cycle through the tape
-    rng = np.random.default_rng(7)
-    blk = _draw(rng, kind, (2, 3), 2, True)
-    z = [rng.uniform(-1, 1, (2, 4)), rng.uniform(-1, 1, (3, 4))]
-    gc.disable()
-    try:
-        tape = Tape()
-        out = fused_block(lift_model(tape, blk), z)
-        backward(tape, out.sum())
-        freed = weakref.ref(tape)
-        del tape, out
-        assert freed() is None
-    finally:
-        gc.enable()
 
 
 def test_ncp_forward_combines_by_the_block_kind():

@@ -134,7 +134,7 @@ class TestBatchSemantics:
     def test_array_input_beside_a_tape_input_is_checked_as_a_batch(self):
         spec = ModelSpec([ones_block("ccp", 1, d=2)])
         tape = Tape()
-        z = tape.constant(col(1.0, 2.0))
+        z = tape.param("z", col(1.0, 2.0))
         out = product_compose(lift_model(tape, spec), [z, [[3.0], [4.0]]])
         np.testing.assert_array_equal(
             out.value, product_compose(spec, [col(1.0, 2.0), col(3.0, 4.0)])

@@ -287,10 +287,11 @@ def test_gan_step_runs_the_discriminator_twice_on_two_small_tapes(tmp_path, monk
     assert len(calls) == 4
     assert len(tapes) == 4
     for disc_ops, gen_ops in (tapes[0:2], tapes[2:4]):
-        # 7 parameter leaves, the stacked samples and labels, three layers
-        # and the loss's sign, sum and 1/n
-        assert len(disc_ops) == 26
+        # 7 parameter leaves, three layers and the loss's sign, sum and 1/n;
+        # the stacked samples and labels are closed over, no constant leaves
+        assert len(disc_ops) == 24
         # 12 parameter leaves, one node per block, then tanh, the
-        # discriminator on plain weights and the generator loss
+        # discriminator on plain weights and the generator loss; its frozen
+        # w1x, w2 and w3 are closed over, no constant leaves
         assert gen_ops.count("custom") == 2
-        assert len(gen_ops) == 31
+        assert len(gen_ops) == 28
